@@ -218,7 +218,7 @@ let compile_cmd path backend target regalloc heat_file specialize idioms
       let heat =
         match heat_file with
         | None -> []
-        | Some path -> Gg_codegen.Color.load_heat path
+        | Some path -> (Gg_specialize.Heat.load path).Gg_specialize.Heat.counts
       in
       with_telemetry ~trace_out ~metrics ~metrics_out ~explain profile
       @@ fun () ->

@@ -41,58 +41,6 @@ let is_jump_fn (backend : Backend.t) =
   | Insn.Branch (m, _) -> fun m' -> String.equal m' m
   | _ -> fun _ -> false
 
-(* -- heat input ---------------------------------------------------------- *)
-
-(* Parse the output of [mdgtool heat --json]: any JSON containing
-   objects with "id" and "count" number fields.  A hand-rolled scanner
-   keeps the dependency footprint at zero. *)
-let parse_heat s =
-  let n = String.length s in
-  let out = ref [] in
-  let rec skip_ws i = if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t' || s.[i] = '\r') then skip_ws (i + 1) else i in
-  let num i =
-    let j = ref i in
-    while !j < n && (match s.[!j] with '0' .. '9' | '-' -> true | _ -> false) do incr j done;
-    if !j = i then None else Some (int_of_string (String.sub s i (!j - i)), !j)
-  in
-  let field name i =
-    (* at [i] sits '"': match "name" : <int> *)
-    let q = "\"" ^ name ^ "\"" in
-    let ql = String.length q in
-    if i + ql <= n && String.sub s i ql = q then
-      let j = skip_ws (i + ql) in
-      if j < n && s.[j] = ':' then num (skip_ws (j + 1)) else None
-    else None
-  in
-  let id = ref None in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '{' -> id := None
-    | '}' -> id := None
-    | '"' -> (
-      match field "id" !i with
-      | Some (v, j) ->
-        id := Some v;
-        i := j - 1
-      | None -> (
-        match field "count" !i with
-        | Some (c, j) ->
-          (match !id with Some v -> out := (v, c) :: !out | None -> ());
-          id := None;
-          i := j - 1
-        | None -> ()))
-    | _ -> ());
-    incr i
-  done;
-  List.rev !out
-
-let load_heat path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_heat (really_input_string ic (in_channel_length ic)))
-
 (* -- the allocator ------------------------------------------------------- *)
 
 let max_rounds = 16

@@ -31,9 +31,3 @@ val run :
   Insn.t list ->
   Insn.t list * (int * int list * string) list * stats
 
-(** Parse a [mdgtool heat --json] file into (production id, firing
-    count) pairs. *)
-val load_heat : string -> (int * int) list
-
-(** Exposed for tests. *)
-val parse_heat : string -> (int * int) list

@@ -25,8 +25,8 @@ type options = {
           alternative organisation); off by default, as in the paper *)
   regalloc : regalloc;  (** default [Stack] *)
   heat : (int * int) list;
-      (** production-id -> firing-count table ({!Color.load_heat}, from
-          [mdgtool heat --json]) weighting the colorer's spill costs;
+      (** production-id -> firing-count table (the counts of a
+          [mdgtool heat --json] profile) weighting the colorer's spill costs;
           ignored under [Stack] *)
 }
 

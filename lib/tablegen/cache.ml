@@ -41,16 +41,21 @@ let load ?dir ?target (g : Grammar.t) =
 
 let store ?dir ?target (g : Grammar.t) (t : Packed.t) =
   let file = path ?dir ?target g in
-  try
+  match
     mkdir_p (Filename.dirname file);
+    Filename.temp_file ~temp_dir:(Filename.dirname file) "tables-" ".tmp"
+  with
+  | exception Sys_error _ -> false
+  | tmp -> (
     (* write-then-rename so concurrent compiles never see a torn file *)
-    let tmp =
-      Filename.temp_file ~temp_dir:(Filename.dirname file) "tables-" ".tmp"
-    in
-    Packed.save t tmp;
-    Sys.rename tmp file;
-    true
-  with Sys_error _ -> false
+    match
+      Packed.save t tmp;
+      Sys.rename tmp file
+    with
+    | () -> true
+    | exception Sys_error _ ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      false)
 
 let build (g : Grammar.t) =
   Gg_profile.Trace.phase "tables.build" (fun () -> Packed.pack (Tables.build g))

@@ -50,7 +50,8 @@ val list : ?dir:string -> unit -> entry list
 val load : ?dir:string -> ?target:string -> Grammar.t -> Packed.t option
 
 (** Best-effort atomic store; returns [false] if the directory is not
-    writable. *)
+    writable or the file cannot be put in place, and then leaves no
+    temporary file behind. *)
 val store : ?dir:string -> ?target:string -> Grammar.t -> Packed.t -> bool
 
 (** Build and pack tables without touching the disk (timed under

@@ -1,15 +1,19 @@
 open Import
 
+(* the tie-candidate arrays, newest first, and how many there are *)
+type ties = { mutable rev : int array list; mutable n : int }
+
 (* encoded actions: 0 = error; (s<<2)|1 = shift s; (p<<2)|2 = reduce p;
    3 = accept; ((i+1)<<2)|3 = semantic tie, candidates in aux.(i) *)
-let encode aux = function
+let encode ties = function
   | Tables.Error -> 0
   | Tables.Shift s -> (s lsl 2) lor 1
   | Tables.Accept -> 3
   | Tables.Reduce [| p |] -> (p lsl 2) lor 2
   | Tables.Reduce candidates ->
-    aux := candidates :: !aux;
-    ((List.length !aux lsl 2) lor 3 : int)
+    ties.rev <- candidates :: ties.rev;
+    ties.n <- ties.n + 1;
+    (ties.n lsl 2) lor 3
 
 type t = {
   n_terms : int;  (* action row width is n_terms + 1 (eof) *)
@@ -27,61 +31,106 @@ type t = {
   aux : int array array;  (* reversed tie candidate lists *)
 }
 
-(* first-fit row displacement packing.  [keep_order] packs the rows in
+(* First-fit row displacement packing.  [keep_order] packs the rows in
    the order given (the specializer's heat order) instead of
-   densest-first. *)
+   densest-first.
+
+   Each row lands at the lowest base where all its cells are free, as a
+   plain scan from base 0 would find; the search only skips bases that
+   cannot fit.  Occupancy only ever grows, so:
+   - once a row with column set S sits at base b, no later row with set
+     S fits at any base <= b (the signature memo starts its search at
+     b + 1) — LR rows repeat a handful of column sets across hundreds of
+     states;
+   - when column k conflicts at base b, no base below
+     [next_free (b + k) - k] fits either (the conflict-column jump).
+   [next_free] is a path-halving skip array over occupied cells. *)
 let comb_pack ?(keep_order = false) ~width ~n_states rows =
+  (* occupancy during the search: next.(i) = i for a free cell;
+     otherwise a cell at or before the next free one *)
   let size = ref (width * 4) in
-  let check = ref (Array.make !size (-1)) in
-  let value = ref (Array.make !size 0) in
+  let next = ref (Array.init !size Fun.id) in
   let grow upto =
     if upto >= !size then begin
       let nsize = max (2 * !size) (upto + width + 1) in
-      let ncheck = Array.make nsize (-1) in
-      let nvalue = Array.make nsize 0 in
-      Array.blit !check 0 ncheck 0 !size;
-      Array.blit !value 0 nvalue 0 !size;
-      check := ncheck;
-      value := nvalue;
+      let nnext = Array.init nsize Fun.id in
+      Array.blit !next 0 nnext 0 !size;
+      next := nnext;
       size := nsize
     end
   in
-  let base = Array.make n_states 0 in
+  let rec next_free i =
+    if i >= !size then i
+    else
+      let j = !next.(i) in
+      if j = i then i
+      else begin
+        let k = if j < !size then !next.(j) else j in
+        !next.(i) <- k;
+        next_free k
+      end
+  in
   (* densest rows first pack tightest *)
   let order =
     if keep_order then rows
     else
-      List.sort
-        (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
-        rows
+      List.map (fun ((_, entries) as row) -> (List.length entries, row)) rows
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare b a)
+      |> List.map snd
   in
-  let high = ref 0 in
+  let memo = Hashtbl.create 64 in
+  let place (s, entries) =
+    match entries with
+    | [] -> (s, 0, entries)
+    | _ ->
+      (* [cols] is also the probe order: a column that conflicts
+         swaps to the front, so the columns that keep colliding are
+         probed first *)
+      let cols = Array.of_list (List.map fst entries) in
+      let n = Array.length cols in
+      let max_col = Array.fold_left max 0 cols in
+      let key = List.sort Int.compare (Array.to_list cols) in
+      let b = ref (try Hashtbl.find memo key + 1 with Not_found -> 0) in
+      grow (!b + max_col);
+      let k = ref 0 in
+      while !k < n do
+        let c = cols.(!k) in
+        let i = !b + c in
+        if !next.(i) = i then incr k
+        else begin
+          cols.(!k) <- cols.(0);
+          cols.(0) <- c;
+          b := next_free i - c;
+          grow (!b + max_col);
+          (* column [c] is free at the new base by construction *)
+          k := 1
+        end
+      done;
+      let b = !b in
+      Hashtbl.replace memo key b;
+      Array.iter (fun c -> !next.(b + c) <- b + c + 1) cols;
+      (s, b, entries)
+  in
+  let placed = List.map place order in
+  let high =
+    List.fold_left
+      (fun high (_, b, entries) ->
+        List.fold_left (fun high (col, _) -> max high (b + col + 1)) high entries)
+      1 placed
+  in
+  let base = Array.make n_states 0 in
+  let check = Array.make high (-1) in
+  let value = Array.make high 0 in
   List.iter
-    (fun (s, entries) ->
-      match entries with
-      | [] -> base.(s) <- 0
-      | _ ->
-        let fits b =
-          List.for_all
-            (fun (col, _) ->
-              let i = b + col in
-              grow i;
-              !check.(i) = -1)
-            entries
-        in
-        let rec find b = if fits b then b else find (b + 1) in
-        let b = find 0 in
-        base.(s) <- b;
-        List.iter
-          (fun (col, code) ->
-            let i = b + col in
-            !check.(i) <- s;
-            !value.(i) <- code;
-            if i + 1 > !high then high := i + 1)
-          entries)
-    order;
-  let trim a = Array.sub a 0 (max 1 !high) in
-  (base, trim !check, trim !value)
+    (fun (s, b, entries) ->
+      base.(s) <- b;
+      List.iter
+        (fun (col, code) ->
+          check.(b + col) <- s;
+          value.(b + col) <- code)
+        entries)
+    placed;
+  (base, check, value)
 
 (* Everything [pack] computes before the comb layout is laid down:
    validity bits, default reductions, exception rows and the tie
@@ -103,12 +152,24 @@ type prepared = {
   p_aux : int array array;
 }
 
+(* bump [action]'s count in [seen] and make it the entry's latest
+   occurrence; false if it has no entry yet *)
+let rec count_reduce action = function
+  | [] -> false
+  | (a, k) :: rest ->
+    if !a = action then begin
+      a := action;
+      incr k;
+      true
+    end
+    else count_reduce action rest
+
 let prepare (tables : Tables.t) =
   let g = Tables.grammar tables in
   let nt = Symtab.n_terms g.Grammar.symtab in
   let nn = Symtab.n_nonterms g.Grammar.symtab in
   let n_states = Tables.n_states tables in
-  let aux = ref [] in
+  let aux = { rev = []; n = 0 } in
   (* one bit per dense action cell: set iff the cell is not Error.  The
      bit distinguishes "no action" from "covered by the default
      reduction", which the comb arrays alone cannot, and is what keeps
@@ -130,15 +191,27 @@ let prepare (tables : Tables.t) =
   let defaults = Array.make n_states 0 in
   let act_rows =
     List.init n_states (fun s ->
-        let counts = Hashtbl.create 8 in
+        (* each distinct reduce with its count and its latest
+           occurrence, in reverse order of first occurrence *)
+        let seen = ref [] in
         Array.iter
           (fun action ->
             match action with
             | Tables.Reduce _ ->
-              let k = try Hashtbl.find counts action with Not_found -> 0 in
-              Hashtbl.replace counts action (k + 1)
+              if not (count_reduce action !seen) then
+                seen := (ref action, ref 1) :: !seen
             | _ -> ())
           tables.Tables.action.(s);
+        (* Among equally frequent reduces, the first one the fold below
+           meets wins.  Filling the table in first-occurrence order, and
+           keying each entry by its latest occurrence (as [replace]
+           would), fixes that choice and the sharing [save] writes, so
+           the packed bytes do not change with how the counts are
+           gathered. *)
+        let counts = Hashtbl.create 8 in
+        List.iter
+          (fun (a, k) -> Hashtbl.replace counts !a !k)
+          (List.rev !seen);
         let default =
           Hashtbl.fold
             (fun action k best ->
@@ -180,7 +253,7 @@ let prepare (tables : Tables.t) =
     p_defaults = defaults;
     p_act_rows = act_rows;
     p_goto_rows = goto_rows;
-    p_aux = Array.of_list (List.rev !aux);
+    p_aux = Array.of_list (List.rev aux.rev);
   }
 
 let pack (tables : Tables.t) =
@@ -241,9 +314,9 @@ let action t s a = decode t (action_code t s a)
 let tie_candidates t i = t.aux.(i)
 
 let encode_table (tables : Tables.t) =
-  let aux = ref [] in
+  let aux = { rev = []; n = 0 } in
   let codes = Array.map (Array.map (encode aux)) tables.Tables.action in
-  (codes, Array.of_list (List.rev !aux))
+  (codes, Array.of_list (List.rev aux.rev))
 
 let expected t s =
   let acc = ref [] in
@@ -301,10 +374,9 @@ let pp_stats ppf s =
 let magic = "ggcg-tables-v2"
 
 let save t path =
-  let oc = open_out_bin path in
-  output_string oc magic;
-  Marshal.to_channel oc t [];
-  close_out oc
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc magic;
+      Marshal.to_channel oc t [])
 
 let load (g : Grammar.t) path =
   let ic = open_in_bin path in

@@ -51,10 +51,13 @@ type prepared = {
 val prepare : Tables.t -> prepared
 
 (** First-fit row-displacement packing of [(row, (column, value) list)]
-    rows into a (base, check, value) triple.  Rows are packed
-    densest-first unless [keep_order] is set, in which case the given
-    order is the packing order (the specializer packs hottest-first so
-    hot rows share cache lines). *)
+    rows into a (base, check, value) triple: each row lands at the
+    lowest base where all its cells are free.  Rows are packed
+    densest-first (a stable sort, so equally dense rows keep their
+    order) unless [keep_order] is set, in which case the given order is
+    the packing order (the specializer packs hottest-first so hot rows
+    share cache lines).  The search skips only bases that cannot fit,
+    so the result is that of a plain scan from base 0 for every row. *)
 val comb_pack :
   ?keep_order:bool ->
   width:int ->

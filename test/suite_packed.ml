@@ -178,6 +178,173 @@ let test_error_parity () =
     (fun i tokens -> check_same_outcome (Fmt.str "broken input %d" i) tokens)
     (broken_inputs ())
 
+(* -- the comb packer against a plain first-fit oracle ------------------------ *)
+
+(* The reference packer: every row restarts at base 0 and tries each
+   base in turn.  [Packed.comb_pack] skips bases that cannot fit and
+   must land every row exactly where this scan does. *)
+let reference_comb_pack ?(keep_order = false) ~width ~n_states rows =
+  let size = ref (width * 4) in
+  let check = ref (Array.make !size (-1)) in
+  let value = ref (Array.make !size 0) in
+  let grow upto =
+    if upto >= !size then begin
+      let nsize = max (2 * !size) (upto + width + 1) in
+      let ncheck = Array.make nsize (-1) in
+      let nvalue = Array.make nsize 0 in
+      Array.blit !check 0 ncheck 0 !size;
+      Array.blit !value 0 nvalue 0 !size;
+      check := ncheck;
+      value := nvalue;
+      size := nsize
+    end
+  in
+  let base = Array.make n_states 0 in
+  let order =
+    if keep_order then rows
+    else
+      List.stable_sort
+        (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
+        rows
+  in
+  let high = ref 0 in
+  List.iter
+    (fun (s, entries) ->
+      match entries with
+      | [] -> base.(s) <- 0
+      | _ ->
+        let fits b =
+          List.for_all
+            (fun (col, _) ->
+              let i = b + col in
+              grow i;
+              !check.(i) = -1)
+            entries
+        in
+        let rec find b = if fits b then b else find (b + 1) in
+        let b = find 0 in
+        base.(s) <- b;
+        List.iter
+          (fun (col, code) ->
+            let i = b + col in
+            !check.(i) <- s;
+            !value.(i) <- code;
+            if i + 1 > !high then high := i + 1)
+          entries)
+    order;
+  let trim a = Array.sub a 0 (max 1 !high) in
+  (base, trim !check, trim !value)
+
+let check_same_comb what ~keep_order ~width ~n_states rows =
+  let wb, wc, wv = reference_comb_pack ~keep_order ~width ~n_states rows in
+  let gb, gc, gv = Packed.comb_pack ~keep_order ~width ~n_states rows in
+  let name part =
+    Fmt.str "%s (%s order): %s" what
+      (if keep_order then "given" else "densest-first")
+      part
+  in
+  Alcotest.(check (array int)) (name "base") wb gb;
+  Alcotest.(check (array int)) (name "check") wc gc;
+  Alcotest.(check (array int)) (name "value") wv gv
+
+(* random rows drawn from a handful of shared column sets (the shape of
+   real LR rows: few distinct sets, many states), a few rows with their
+   own columns, and some empty rows; the order is shuffled so the
+   given-order packing is not densest-first *)
+let gen_comb_rows =
+  let open QCheck.Gen in
+  let* width = int_range 1 40 in
+  let col_set = list_size (int_range 1 width) (int_bound (width - 1)) in
+  let* sets = list_size (int_range 1 6) col_set in
+  let sets = Array.of_list (List.map (List.sort_uniq Int.compare) sets) in
+  let* n_states = int_range 1 120 in
+  let row s =
+    let* pick = int_bound (Array.length sets + 2) in
+    let* cols =
+      if pick < Array.length sets then return sets.(pick)
+      else if pick = Array.length sets then return []
+      else map (List.sort_uniq Int.compare) col_set
+    in
+    let* codes = list_repeat (List.length cols) (int_range 1 1000) in
+    return (s, List.combine cols codes)
+  in
+  let* rows = flatten_l (List.init n_states row) in
+  let* rows = shuffle_l rows in
+  return (width, n_states, rows)
+
+let prop_comb_pack_matches_first_fit =
+  QCheck.Test.make ~name:"comb_pack = plain first-fit on shared column sets"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (w, n, rows) ->
+         Fmt.str "width %d, %d states, rows %a" w n
+           Fmt.(Dump.list (Dump.pair int (Dump.list (Dump.pair int int))))
+           rows)
+       gen_comb_rows)
+    (fun (width, n_states, rows) ->
+      List.for_all
+        (fun keep_order ->
+          reference_comb_pack ~keep_order ~width ~n_states rows
+          = Packed.comb_pack ~keep_order ~width ~n_states rows)
+        [ false; true ])
+
+(* the real rows: both targets' action and goto combs, in densest-first
+   and in a scrambled given order (the specializer's path) *)
+let test_comb_pack_real_rows () =
+  let scramble rows =
+    List.mapi (fun i r -> ((i * 7919) mod 1009, i, r)) rows
+    |> List.sort compare
+    |> List.map (fun (_, _, r) -> r)
+  in
+  List.iter
+    (fun (target, g) ->
+      let p = Packed.prepare (Tables.build g) in
+      let n_states = p.Packed.p_n_states in
+      List.iter
+        (fun (comb, width, rows) ->
+          let what = Fmt.str "%s %s comb" target comb in
+          check_same_comb what ~keep_order:false ~width ~n_states rows;
+          check_same_comb what ~keep_order:true ~width ~n_states
+            (scramble rows))
+        [
+          ("action", p.Packed.p_width, p.Packed.p_act_rows);
+          ("goto", p.Packed.p_n_nonterms, p.Packed.p_goto_rows);
+        ])
+    [
+      ("vax", Lazy.force vax_grammar);
+      ("risc", Lazy.force Gg_risc.Grammar_def.default_grammar);
+    ]
+
+(* The packed files are a pure function of the grammar: these are the
+   MD5s of both targets' table files, pinned with their grammar
+   digests.  A packer or preparation change that moves a single byte
+   (a cell, a default choice, even the sharing [Marshal] records)
+   fails here; a grammar edit changes the digest and needs a re-pin. *)
+let pinned_table_files =
+  [
+    ( "vax",
+      Lazy.force vax_grammar,
+      "69e3cbb5ff437ee4564bceb87ab24a37",
+      "1b11e0d26c50a384f10e8a8ade3c858a" );
+    ( "risc",
+      Lazy.force Gg_risc.Grammar_def.default_grammar,
+      "cf511208be602b329d71812bba5082c1",
+      "579ddb979cb16697faf7a4a1bef1831b" );
+  ]
+
+let test_table_files_pinned () =
+  List.iter
+    (fun (target, g, grammar_digest, file_md5) ->
+      Alcotest.(check string)
+        (Fmt.str "%s grammar digest (re-pin after a grammar edit)" target)
+        grammar_digest (Grammar.digest g);
+      let path = Filename.temp_file "ggcg" ".tbl" in
+      Packed.save (Packed.pack (Tables.build g)) path;
+      let md5 = Digest.to_hex (Digest.file path) in
+      Sys.remove path;
+      Alcotest.(check string) (Fmt.str "%s table file bytes" target) file_md5 md5)
+    pinned_table_files
+
 (* -- save / load round trip ------------------------------------------------- *)
 
 let test_vax_save_load_roundtrip () =
@@ -310,6 +477,23 @@ let test_cache_target_keys () =
   Sys.remove vax_path;
   Sys.rmdir dir
 
+let test_cache_store_failure_leaves_no_tmp () =
+  (* a directory squatting on the destination makes the final rename
+     fail after the temporary file was written *)
+  let dir = Filename.temp_file "ggcg-cache" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let g = Toy.grammar in
+  let dest = Cache.path ~dir g in
+  Sys.mkdir dest 0o755;
+  Alcotest.(check bool) "store reports failure" false
+    (Cache.store ~dir g (Packed.pack (Tables.build g)));
+  let left = Array.to_list (Sys.readdir dir) in
+  Alcotest.(check (list string))
+    "only the squatting directory is left" [ Filename.basename dest ] left;
+  Sys.rmdir dest;
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "VAX action/goto/expected parity" `Quick
@@ -318,6 +502,11 @@ let suite =
     Alcotest.test_case "fixed programs compile identically" `Slow
       test_fixed_programs_same_assembly;
     Alcotest.test_case "error parity on broken inputs" `Slow test_error_parity;
+    QCheck_alcotest.to_alcotest prop_comb_pack_matches_first_fit;
+    Alcotest.test_case "comb_pack = first-fit on VAX and RISC rows" `Slow
+      test_comb_pack_real_rows;
+    Alcotest.test_case "table files byte-identical to the pinned MD5s" `Quick
+      test_table_files_pinned;
     Alcotest.test_case "VAX save/load round trip" `Quick
       test_vax_save_load_roundtrip;
     Alcotest.test_case "stale grammar rejected on load" `Quick
@@ -328,4 +517,6 @@ let suite =
       test_cache_miss_then_hit;
     Alcotest.test_case "cache: per-target keys never collide" `Quick
       test_cache_target_keys;
+    Alcotest.test_case "cache: failed store leaves no temporary file" `Quick
+      test_cache_store_failure_leaves_no_tmp;
   ]

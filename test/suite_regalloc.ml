@@ -287,13 +287,23 @@ let test_spill_provenance_marks () =
 (* -- heat-file parsing ------------------------------------------------------ *)
 
 let test_parse_heat () =
+  let module Heat = Gg_specialize.Heat in
+  let heat =
+    Heat.parse
+      "{\n  \"total\": 42,\n  \"productions\": [\n    {\"id\": 3, \"count\": \
+       41},\n    {\"id\": 7, \"count\": 1}\n  ]\n}"
+  in
   Alcotest.(check (list (pair int int)))
-    "mdgtool heat --json round-trips"
-    [ (3, 41); (7, 1) ]
-    (Color.parse_heat
-       "{\n  \"total\": 42,\n  \"productions\": [\n    {\"id\": 3, \"count\": \
-        41},\n    {\"id\": 7, \"count\": 1}\n  ]\n}");
-  Alcotest.(check (list (pair int int))) "empty input" [] (Color.parse_heat "")
+    "mdgtool heat --json round-trips" [ (3, 41); (7, 1) ] heat.Heat.counts;
+  Alcotest.(check (list (pair int int)))
+    "rendered and parsed again" heat.Heat.counts
+    (Heat.parse (Heat.to_json_string heat)).Heat.counts;
+  List.iter
+    (fun bad ->
+      match Heat.parse bad with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "malformed heat profile %S accepted" bad)
+    [ ""; "garbage"; "{\"productions\": [{\"id\": 3}]}" ]
 
 (* -- whole-compiler differential checks ------------------------------------ *)
 
