@@ -700,9 +700,6 @@ let bench_throughput () =
       transformed
   in
   let n_trees = List.length token_lists in
-  let b = Targets.backend_of bench_target in
-  let g = Lazy.force b.Backend.default_grammar in
-  let dense = Matcher.engine (Tables.build g) in
   let packed_tables = Targets.default_tables bench_target in
   let packed = Driver.engine packed_tables in
   let null_cb : unit Matcher.callbacks =
@@ -712,44 +709,31 @@ let bench_throughput () =
       choose = (fun _ _ -> 0);
     }
   in
-  let run_all runner e () =
-    List.iter (fun toks -> ignore (runner e null_cb toks)) token_lists
-  in
   let results =
     measure_ns_best
       ~repeats:(if quick then 1 else 3)
       [
-        (* pre-PR loop (list stack, symtab lookup per action) on both
-           table representations, vs the production interned loop *)
-        ("m-dense", run_all Matcher.run_engine_reference dense);
-        ("m-packed", run_all Matcher.run_engine_reference packed);
-        ("m-interned", run_all (fun e cb t -> Matcher.run_engine e cb t) packed);
+        ( "m-interned",
+          fun () ->
+            List.iter
+              (fun toks -> ignore (Matcher.run_engine packed null_cb toks))
+              token_lists );
       ]
   in
   let rate ns = float_of_int n_trees *. 1e9 /. ns in
   let srate ns = float_of_int n_stmts *. 1e9 /. ns in
+  (* the pre-optimisation reference loop's rows (dense and packed, list
+     stack, symtab lookup per action) are historical: EXPERIMENTS.md *)
   let single =
-    match
-      ( lookup results "m-dense",
-        lookup results "m-packed",
-        lookup results "m-interned" )
-    with
-    | Some d, Some p, Some i ->
+    match lookup results "m-interned" with
+    | Some i ->
       row "corpus: %d functions, %d statements, %d matched trees@."
         (List.length prog.Tree.funcs)
         n_stmts n_trees;
-      row "  dense + per-step lookup:    %9.0f trees/s  %9.0f stmts/s@."
-        (rate d) (srate d);
-      row "  packed + per-step lookup:   %9.0f trees/s  %9.0f stmts/s@."
-        (rate p) (srate p);
       row "  packed + interned (prod.):  %9.0f trees/s  %9.0f stmts/s@."
         (rate i) (srate i);
-      row
-        "  interned-loop speedup over the pre-PR packed matcher: %.2fx \
-         (acceptance: >= 1.5x)@."
-        (p /. i);
-      Some (d, p, i)
-    | _ ->
+      Some i
+    | None ->
       row "measurement failed@.";
       None
   in
@@ -837,17 +821,12 @@ let bench_throughput () =
     (List.length prog.Tree.funcs)
     n_stmts n_trees;
   (match single with
-  | Some (d, pk, i) ->
+  | Some i ->
     p "  \"single_thread\": {\n";
-    p "    \"dense\": { \"trees_per_sec\": %.0f, \"stmts_per_sec\": %.0f },\n"
-      (rate d) (srate d);
-    p "    \"packed\": { \"trees_per_sec\": %.0f, \"stmts_per_sec\": %.0f },\n"
-      (rate pk) (srate pk);
     p
       "    \"packed_interned\": { \"trees_per_sec\": %.0f, \
-       \"stmts_per_sec\": %.0f },\n"
+       \"stmts_per_sec\": %.0f }\n"
       (rate i) (srate i);
-    p "    \"speedup_interned_vs_packed\": %.3f\n" (pk /. i);
     p "  },\n"
   | None -> ());
   p "  \"parallel\": {\n";
@@ -1544,28 +1523,23 @@ let bench_specialize () =
         let profile = Targets.heat_profile target in
         let dense = Tables.build g in
         let packed = Packed.pack dense in
-        let spec = Gg_specialize.Specialize.build ~profile dense in
+        let spec = Packed.pack ~profile dense in
         let verified =
-          match Gg_specialize.Specialize.verify spec dense with
+          match Packed.verify spec dense with
           | Ok () -> true
           | Error m ->
             row "  %s: VERIFICATION FAILED: %s@." name m;
             false
         in
-        let baseline_tables =
-          Driver.of_engine ~backend:b (Matcher.packed_engine ~grammar:g packed)
-        in
-        let spec_tables =
-          Driver.of_engine ~backend:b
-            (Gg_specialize.Specialize.engine ~grammar:g spec)
+        let packed_engine = Matcher.packed_engine ~grammar:g packed in
+        let spec_engine = Matcher.packed_engine ~grammar:g spec in
+        let asm e prog =
+          let tables = Driver.of_engine ~backend:b e in
+          (Driver.compile_program ~tables prog).Driver.assembly
         in
         let identical =
           List.for_all
-            (fun (_, prog) ->
-              (Driver.compile_program ~tables:baseline_tables prog)
-                .Driver.assembly
-              = (Driver.compile_program ~tables:spec_tables prog)
-                  .Driver.assembly)
+            (fun (_, prog) -> asm packed_engine prog = asm spec_engine prog)
             parity_progs
         in
         (* matcher speedup on the hot corpus: the same programs the
@@ -1591,10 +1565,6 @@ let bench_specialize () =
            the per-probe delta being measured is a few percent *)
         let rep_token_lists =
           List.concat (List.init 8 (fun _ -> token_lists))
-        in
-        let packed_engine = Matcher.packed_engine ~grammar:g packed in
-        let spec_engine =
-          Gg_specialize.Specialize.engine ~grammar:g spec
         in
         let run_all e () =
           List.iter
@@ -1631,16 +1601,16 @@ let bench_specialize () =
         Metrics.reset ();
         Metrics.enabled := metrics_were;
         let pst = Packed.stats packed in
-        let sst = Gg_specialize.Specialize.stats spec in
+        let sst = Packed.stats spec in
         row "[%s]@." name;
         row "  verified cell-for-cell:   %b@." verified;
         row "  assembly byte-identical:  %b  (%d programs)@." identical
           (List.length parity_progs);
-        row "  hot states:               %d of %d@." sst.Gg_specialize.Specialize.hot_states
-          sst.Gg_specialize.Specialize.states;
+        row "  hot states:               %d of %d@." sst.Packed.hot_states
+          sst.Packed.states;
         row "  table bytes:              %d -> %d  (delta %+d)@."
-          pst.Packed.packed_bytes sst.Gg_specialize.Specialize.spec_bytes
-          (sst.Gg_specialize.Specialize.spec_bytes - pst.Packed.packed_bytes);
+          pst.Packed.packed_bytes sst.Packed.packed_bytes
+          (sst.Packed.packed_bytes - pst.Packed.packed_bytes);
         row "  matcher, hot corpus:      %.2f ms packed, %.2f ms specialized, \
              speedup %.3fx@."
           (ns_packed /. 1e6) (ns_spec /. 1e6) speedup;
@@ -1673,13 +1643,13 @@ let bench_specialize () =
       p "    { \"target\": \"%s\",\n" name;
       p "      \"verified\": %b,\n" verified;
       p "      \"assembly_identical\": %b,\n" identical;
-      p "      \"states\": %d,\n" sst.Gg_specialize.Specialize.states;
-      p "      \"hot_states\": %d,\n" sst.Gg_specialize.Specialize.hot_states;
+      p "      \"states\": %d,\n" sst.Packed.states;
+      p "      \"hot_states\": %d,\n" sst.Packed.hot_states;
       p "      \"baseline_table_bytes\": %d,\n" pst.Packed.packed_bytes;
       p "      \"specialized_table_bytes\": %d,\n"
-        sst.Gg_specialize.Specialize.spec_bytes;
+        sst.Packed.packed_bytes;
       p "      \"table_bytes_delta\": %d,\n"
-        (sst.Gg_specialize.Specialize.spec_bytes - pst.Packed.packed_bytes);
+        (sst.Packed.packed_bytes - pst.Packed.packed_bytes);
       p "      \"matcher_ms_packed\": %.3f,\n" (ns_packed /. 1e6);
       p "      \"matcher_ms_specialized\": %.3f,\n" (ns_spec /. 1e6);
       p "      \"matcher_speedup\": %.3f,\n" speedup;

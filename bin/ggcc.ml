@@ -26,40 +26,38 @@ let read_file path =
   close_in ic;
   s
 
-(* Table acquisition for the gg backend, in order of preference: a
-   profile-specialized table (--specialize FILE|auto), an explicit
-   -tables file (created on first use), the per-user cache keyed by
-   target and grammar digest, or an in-process build (--no-cache). *)
+(* Table acquisition for the gg backend, in order of preference: an
+   explicit -tables file (created on first use), the per-user cache
+   keyed by target, grammar digest and profile digest, or an in-process
+   build (--no-cache).  --specialize FILE|auto orders the rows of any
+   of them by a heat profile; a -tables file records the profile's
+   digest and refuses to load under a different one. *)
 let gg_tables ~target ~tables_file ~no_cache ~specialize () =
   let b = Targets.backend_of target in
-  match (specialize, tables_file) with
-  | Some spec, None ->
-    let profile =
-      if spec = "auto" then Targets.heat_profile target
-      else Gg_specialize.Heat.load spec
-    in
-    Targets.specialized_tables ~use_cache:(not no_cache) ~profile target
-  | Some _, Some _ ->
-    (* -tables names a v2 packed file; a specialized table is keyed and
-       cached differently (v3), so the combination is ambiguous *)
-    Fmt.epr "error: --specialize cannot be combined with --tables@.";
-    exit 1
-  | None, Some path ->
+  let profile =
+    Option.map
+      (function
+        | "auto" -> Targets.heat_profile target
+        | file -> Gg_tablegen.Heat.load file)
+      specialize
+  in
+  let gopts = Driver.default_options.Driver.grammar in
+  match tables_file with
+  | Some path ->
     let g = Lazy.force b.Backend.default_grammar in
     let packed =
       if Sys.file_exists path then
         Gg_profile.Trace.phase "tables.load" (fun () ->
-            Gg_tablegen.Packed.load g path)
+            Gg_tablegen.Packed.load ?profile g path)
       else begin
-        let p = Gg_tablegen.Cache.build g in
+        let p = Gg_tablegen.Cache.build ?profile g in
         Gg_tablegen.Packed.save p path;
         p
       end
     in
     Driver.of_engine ~backend:b (Gg_matcher.Matcher.packed_engine ~grammar:g packed)
-  | None, None ->
-    if no_cache then Targets.default_tables target
-    else Targets.cached_tables target Driver.default_options.Driver.grammar
+  | None when no_cache -> Targets.build_tables ?profile target gopts
+  | None -> Targets.cached_tables ?profile target gopts
 
 let compile_source backend ~idioms ~peephole ~regalloc ~heat ~jobs ~tables
     ~explain src =
@@ -212,13 +210,13 @@ let compile_cmd path backend target regalloc heat_file specialize idioms
         exit 1
       end;
       if specialize <> None && backend = Pcc_backend then begin
-        Fmt.epr "error: the pcc backend has no parse tables to specialize@.";
+        Fmt.epr "error: the pcc backend has no parse tables to order@.";
         exit 1
       end;
       let heat =
         match heat_file with
         | None -> []
-        | Some path -> (Gg_specialize.Heat.load path).Gg_specialize.Heat.counts
+        | Some path -> (Gg_tablegen.Heat.load path).Gg_tablegen.Heat.counts
       in
       with_telemetry ~trace_out ~metrics ~metrics_out ~explain profile
       @@ fun () ->
@@ -354,14 +352,15 @@ let specialize_arg =
     & opt (some string) None
     & info [ "specialize" ] ~docv:"FILE|auto"
         ~doc:
-          "Compile with profile-specialized parse tables (gg backend): \
+          "Order the parse-table rows by a heat profile (gg backend): \
            hot states comb-packed first for locality, cold states behind \
            an exact fallback.  $(docv) is a heat profile from $(b,mdgtool \
            heat --json --out), or $(b,auto) to collect one from the \
-           built-in corpus.  The assembly is byte-identical to an \
-           unspecialized compile; only matcher probe locality changes.  \
-           Specialized tables are cached by (target, grammar digest, \
-           profile digest) unless $(b,--no-cache).  Local compiles only.")
+           built-in corpus.  The assembly is byte-identical to a compile \
+           without a profile; only matcher probe locality changes.  The \
+           tables are cached by (target, grammar digest, profile digest) \
+           unless $(b,--no-cache); a $(b,-T) file records the profile \
+           digest.  Local compiles only.")
 
 let idioms_arg =
   Arg.(

@@ -99,13 +99,13 @@ let run socket admin_socket workers queue_capacity read_timeout log_path
     Hashtbl.create 4
   in
   (* a file profile is target-specific (production ids are per-grammar),
-     but loading it is cheap and validation happens inside the
-     specializer; --specialize auto collects a per-target profile from
+     but loading it is cheap and foreign ids carry no weight in
+     Packed.pack; --specialize auto collects a per-target profile from
      the built-in corpus at resolution time *)
   let file_profile =
     match specialize with
     | Some spec when spec <> "auto" -> (
-      match Gg_specialize.Heat.load spec with
+      match Gg_tablegen.Heat.load spec with
       | p -> Some p
       | exception (Failure m | Sys_error m) ->
         Fmt.epr "error: cannot load profile %s: %s@." spec m;
@@ -118,21 +118,15 @@ let run socket admin_socket workers queue_capacity read_timeout log_path
         | Some t -> t
         | None ->
           let t0 = Unix.gettimeofday () in
-          let t =
+          let profile =
             match specialize with
-            | Some _ ->
-              let profile =
-                match file_profile with
-                | Some p -> p
-                | None -> Targets.heat_profile target
-              in
-              Targets.specialized_tables ~use_cache:(not no_cache) ~profile
-                target
-            | None ->
-              if no_cache then Targets.default_tables target
-              else
-                Targets.cached_tables target
-                  Driver.default_options.Driver.grammar
+            | Some "auto" -> Some (Targets.heat_profile target)
+            | _ -> file_profile
+          in
+          let gopts = Driver.default_options.Driver.grammar in
+          let t =
+            if no_cache then Targets.build_tables ?profile target gopts
+            else Targets.cached_tables ?profile target gopts
           in
           Slog.info logger ~event:"tables.ready"
             [

@@ -39,23 +39,21 @@ let backend t = t.t_backend
 let grammar t = t.t_engine.Matcher.eng_grammar
 let of_engine ~backend e = { t_engine = e; t_backend = backend }
 
-(* The production representation is the comb-packed one; the dense
-   tables exist as an intermediate (and for differential testing via
-   Matcher.engine). *)
-let build_tables ?(backend = Backend.vax) gopts =
+let build_tables ?(backend = Backend.vax) ?profile gopts =
   let g = backend.Backend.grammar_of gopts in
   {
-    t_engine = Matcher.packed_engine ~grammar:g (Gg_tablegen.Cache.build g);
+    t_engine =
+      Matcher.packed_engine ~grammar:g (Gg_tablegen.Cache.build ?profile g);
     t_backend = backend;
   }
 
-let cached_tables ?dir ?(backend = Backend.vax) gopts =
+let cached_tables ?dir ?(backend = Backend.vax) ?profile gopts =
   let g = backend.Backend.grammar_of gopts in
   let target = Backend.name backend in
   {
     t_engine =
       Matcher.packed_engine ~grammar:g
-        (Gg_tablegen.Cache.load_or_build ?dir ~target g);
+        (Gg_tablegen.Cache.load_or_build ?dir ~target ?profile g);
     t_backend = backend;
   }
 

@@ -38,30 +38,36 @@ val vreg_base : int
 (** The driver's table handle: a {!Matcher.engine} paired with the
     {!Backend.t} whose grammar built it, so every downstream consumer
     (driver, oracle, server) renders, prices and simulates with the
-    right target.  The production representation is comb-packed
-    ({!Gg_tablegen.Packed}); wrap dense tables with {!of_engine} for
-    differential runs. *)
+    right target. *)
 type tables = { t_engine : Matcher.engine; t_backend : Backend.t }
 
 val engine : tables -> Matcher.engine
 val backend : tables -> Backend.t
 val grammar : tables -> Grammar.t
 
-(** Pair an already-built engine (for example a dense one) with its
-    backend. *)
+(** Pair an already-built engine with its backend. *)
 val of_engine : backend:Backend.t -> Matcher.engine -> tables
 
 (** Build packed tables in-process for the given options and backend
-    (default VAX); building is expensive, so build once and reuse
-    (callers share {!default_tables}). *)
-val build_tables : ?backend:Backend.t -> Grammar_def.options -> tables
+    (default VAX), rows ordered by [profile] if given
+    ({!Gg_tablegen.Cache.build}); building is expensive, so build once
+    and reuse (callers share {!default_tables}). *)
+val build_tables :
+  ?backend:Backend.t ->
+  ?profile:Gg_tablegen.Heat.t ->
+  Grammar_def.options ->
+  tables
 
 (** Like {!build_tables} but through the on-disk cache
-    ({!Gg_tablegen.Cache}, keyed by target and grammar digest): a warm
-    cache loads the replicated tables in milliseconds instead of
-    reconstructing them. *)
+    ({!Gg_tablegen.Cache}, keyed by target, grammar digest and profile
+    digest): a warm cache loads the replicated tables in milliseconds
+    instead of reconstructing them. *)
 val cached_tables :
-  ?dir:string -> ?backend:Backend.t -> Grammar_def.options -> tables
+  ?dir:string ->
+  ?backend:Backend.t ->
+  ?profile:Gg_tablegen.Heat.t ->
+  Grammar_def.options ->
+  tables
 
 (** The default VAX tables. *)
 val default_tables : tables Lazy.t

@@ -2,12 +2,13 @@ open Import
 
 (** Seed-range differential fuzz campaigns.
 
-    For every seed in the range: generate a control-flow IR program,
-    run it through the three-way oracle on each selected table engine,
-    and on failure greedily shrink it (re-checking the oracle at every
-    step) and persist the reproducer to the divergence corpus. *)
-
-type engine_sel = Dense | Packed | Both
+    The campaign first {!Gg_tablegen.Packed.verify}s each target's
+    tables cell-for-cell against freshly built dense tables (raising
+    [Failure] on a difference).  Then, for every seed in the range: it
+    generates a control-flow IR program, runs it through the three-way
+    oracle on each selected engine, and on failure greedily shrinks it
+    (re-checking the oracle at every step) and persists the reproducer
+    to the divergence corpus. *)
 
 (** Register allocator(s) under test: the stack discipline, the graph
     colorer, or both — [Rboth] adds a [<target>-color] engine next to
@@ -18,7 +19,6 @@ type config = {
   seed_lo : int;
   seed_hi : int;  (** inclusive *)
   gen : Treegen.config;
-  engine : engine_sel;
   regalloc : regalloc_sel;
   targets : Backend.target list;
       (** backends under test; the PCC baseline joins only when the
@@ -57,7 +57,7 @@ val program_of_seed : config -> int -> Tree.program
 val engines_of :
   ?targets:Backend.target list ->
   ?regalloc:regalloc_sel ->
-  engine_sel ->
+  unit ->
   Oracle.engines
 
 val run : config -> result
@@ -65,7 +65,6 @@ val run : config -> result
 (** Re-run one persisted reproducer ([.ir] dump) through the oracle;
     [Ok] means it no longer diverges. *)
 val replay :
-  ?engine:engine_sel ->
   ?regalloc:regalloc_sel ->
   ?targets:Backend.target list ->
   string ->

@@ -41,8 +41,6 @@ let compare_observations ~(reference : Interp.outcome) (s : Simout.t) =
     in
     walk s.Simout.globals reference.Interp.globals
 
-let default_grammar () = Lazy.force Gg_vax.Grammar_def.default_grammar
-
 type engine = {
   e_name : string;
   e_tables : Driver.tables;
@@ -55,15 +53,8 @@ type engines = engine list
 
 let engine ?options e_name e_tables = { e_name; e_tables; e_options = options }
 
-(* engines for an arbitrary target, named <target>-<representation> so
-   a failure pins down both the backend and the table encoding *)
-let dense_engine_for target =
-  let b = Targets.backend_of target in
-  engine
-    (Targets.name target ^ "-dense")
-    (Driver.of_engine ~backend:b
-       (Matcher.engine (Tables.build (Lazy.force b.Backend.default_grammar))))
-
+(* engines named <target>-<variant> so a failure pins down both the
+   backend and what the engine varies *)
 let packed_engine_for target =
   engine (Targets.name target ^ "-packed") (Targets.default_tables target)
 
@@ -76,15 +67,6 @@ let color_engine_for target =
       { Driver.default_options with Driver.regalloc = Driver.Color }
     (Targets.name target ^ "-color")
     (Targets.default_tables target)
-
-(* the historical names for the original backend *)
-let dense_engine () =
-  engine "gg-dense"
-    (Driver.of_engine ~backend:Backend.vax
-       (Matcher.engine (Tables.build (default_grammar ()))))
-
-let packed_engine () = engine "gg-packed" (Lazy.force Driver.default_tables)
-let default_engines () = [ packed_engine () ]
 
 let check ?(options = Driver.default_options) ?(pcc = true) ?(jobs = 1)
     ?(max_steps = 10_000_000) ~(engines : engines) (prog : Tree.program) =

@@ -22,21 +22,49 @@ exception Reject of error
 
 type 'a outcome = { value : 'a; trace : step list }
 
-(* The generic driver, abstracted over table access so both the dense
-   and the packed representations can drive it.
+type engine = {
+  eng_grammar : Grammar.t;
+  eng_tables : Packed.t;
+  eng_interned : (string * int) array;
+}
 
-   The shift/reduce loop is the compiler's hottest code (paper Fig. 2:
+(* Terminal interning with a small direct-mapped cache in front of the
+   symtab hashtable.  Token names are shared string constants
+   ({!Termname}), so after the first miss a name is recognised by
+   pointer.  Each slot holds one immutable (name, id) pair and an
+   update is a single pointer store, so the cache is safe to share
+   between domains: a racing reader sees either the old or the new
+   pair, and a lost update only costs a future miss.  Ids are
+   cache-independent, so parallel compiles stay deterministic. *)
+let intern e s =
+  let slot = (Char.code (String.unsafe_get s 0) + String.length s) land 63 in
+  let cs, cid = Array.unsafe_get e.eng_interned slot in
+  if cs == s then cid
+  else begin
+    let id = Symtab.term_id e.eng_grammar.Grammar.symtab s in
+    Array.unsafe_set e.eng_interned slot (s, id);
+    id
+  end
+
+let packed_engine ~grammar packed =
+  {
+    eng_grammar = grammar;
+    eng_tables = packed;
+    eng_interned = Array.make 64 ("", -2);
+  }
+
+(* The shift/reduce loop is the compiler's hottest code (paper Fig. 2:
    ~half of code generation), so it allocates nothing per action: the
    parse stack is a pair of preallocated growable arrays instead of a
    (state, value) list, each token is interned to its terminal id
    exactly once — when it becomes the lookahead, which is then carried
    through consecutive reductions instead of being re-derived at every
    step ({!Symtab.term_id}, allocation free) — and actions arrive as
-   integer codes ({!Gg_tablegen.Packed.action_code}) rather than
-   [Tables.action] blocks, which the packed lookup would otherwise
-   rebuild on every probe.  The only per-reduction allocation left is
-   the argument array handed to [on_reduce], which is part of the
-   callback contract. *)
+   integer codes ({!Packed.action_code}), called directly, rather than
+   [Tables.action] blocks, which the lookup would otherwise rebuild on
+   every probe.  The only per-reduction allocation left is the argument
+   array handed to [on_reduce], which is part of the callback
+   contract. *)
 (* The state half of the parse stack is a monomorphic int array, so
    each domain keeps one across runs instead of allocating per tree
    (the ['a] value half cannot be reused without erasure tricks).
@@ -47,13 +75,16 @@ type state_scratch = { mutable st : int array; mutable busy : bool }
 let scratch_key =
   Domain.DLS.new_key (fun () -> { st = [||]; busy = false })
 
-let run_with ?(trace = false) ~(g : Grammar.t) ~eof
-    ~(intern : string -> int) ~(code : int -> int -> int)
-    ~(tie : int -> int array) ~(goto : int -> int -> int)
-    ~(expected : int -> int list) cb tokens =
+let run_engine ?(trace = false) e cb tokens =
+  let g = e.eng_grammar and tables = e.eng_tables in
+  let eof = Symtab.n_terms g.Grammar.symtab in
   let ctrs = Profile.counters () in
   let reds0 = ctrs.Profile.reduces in
-  let t0 = if !Metrics.enabled then Trace.now_us () else 0. in
+  let metrics = !Metrics.enabled in
+  let t0 = if metrics then Trace.now_us () else 0. in
+  (* the hot/cold probe split, published once per run: a registry
+     update per probe would dominate the loop *)
+  let hot_probes = ref 0 and cold_probes = ref 0 in
   let n = List.length tokens in
   (* the parse stack; stack depth is bounded by the number of shifts,
      so the initial capacity already fits any well-formed run *)
@@ -96,7 +127,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   let expected_names s =
     List.map
       (fun a -> if a = eof then "<eof>" else Symtab.term_name g.symtab a)
-      (expected s)
+      (Packed.expected tables s)
   in
   let reject i a =
     ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
@@ -119,7 +150,9 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   (* [rest] is the unconsumed token suffix starting at position [i];
      [a] is the interned lookahead ([eof] once [rest] is empty) *)
   let rec loop rest i a =
-    let c = code !state a in
+    if metrics then
+      if Packed.is_hot tables !state then incr hot_probes else incr cold_probes;
+    let c = Packed.action_code tables !state a in
     if c = 0 then reject i a
     else
       match c land 3 with
@@ -159,7 +192,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
            violation would silently corrupt the stack. *)
         ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
         ctrs.Profile.semantic_choices <- ctrs.Profile.semantic_choices + 1;
-        let candidates = tie ((c lsr 2) - 1) in
+        let candidates = Packed.tie_candidates tables ((c lsr 2) - 1) in
         let prods = Array.map (Grammar.production g) candidates in
         let len = Array.length prods.(0).rhs in
         Array.iter
@@ -196,7 +229,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
     let exposed = Array.unsafe_get !st_states base in
     if trace then record (Sreduce p.Grammar.id);
     let v = cb.on_reduce p args in
-    let target = goto exposed p.Grammar.lhs in
+    let target = Packed.goto tables exposed p.Grammar.lhs in
     if target < 0 then reject i a;
     (* pop the rhs and push the lhs value in one move *)
     Array.unsafe_set !st_values base v;
@@ -207,7 +240,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
     match rest with
     | [] -> loop [] i eof
     | tok :: _ ->
-      let a = intern tok.Termname.term in
+      let a = intern e tok.Termname.term in
       if a < 0 then
         (* unknown terminal: reject the moment it becomes the lookahead *)
         raise
@@ -229,13 +262,17 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
         if reusing then begin
           scratch.st <- !st_states;
           scratch.busy <- false
-        end)
+        end;
+        if !hot_probes > 0 then
+          Metrics.incr ~by:!hot_probes "matcher.probe_hits_hot";
+        if !cold_probes > 0 then
+          Metrics.incr ~by:!cold_probes "matcher.probe_hits_cold")
       (fun () -> next tokens 0)
   in
   (* end-of-run histogram observations, gated so the hot loop stays
      allocation-free with telemetry off; rejects raise past this point
      and are deliberately not observed *)
-  if !Metrics.enabled then begin
+  if metrics then begin
     Metrics.observe Metrics.tree_match_us
       (int_of_float (Trace.now_us () -. t0));
     Metrics.observe Metrics.tree_reductions (ctrs.Profile.reduces - reds0);
@@ -243,212 +280,8 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   end;
   { value; trace = List.rev !steps }
 
-(* The pre-optimisation loop: a (state, value) list stack and a symtab
-   lookup per action.  Kept verbatim as the baseline the optimised loop
-   is differentially tested against (suite_parallel) and measured
-   against (the THRU benchmark); not a production path. *)
-let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
-    ~(action : int -> int -> Tables.action) ~(goto : int -> int -> int)
-    ~(expected : int -> int list) cb tokens =
-  let ctrs = Profile.counters () in
-  let tokens = Array.of_list tokens in
-  let n = Array.length tokens in
-  let stack = ref [] in
-  let state = ref 0 in
-  let steps = ref [] in
-  let record s = if trace then steps := s :: !steps in
-  let term_id i =
-    if i >= n then eof
-    else
-      let name = tokens.(i).Termname.term in
-      match Symtab.find g.symtab name with
-      | Some (Symtab.T a) -> a
-      | Some (Symtab.N _) | None ->
-        raise (Reject { at = i; token = name; state = !state; expected = [] })
-  in
-  let expected_names s =
-    List.map
-      (fun a -> if a = eof then "<eof>" else Symtab.term_name g.symtab a)
-      (expected s)
-  in
-  let reject i a =
-    ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
-    raise
-      (Reject
-         {
-           at = i;
-           token = (if a = eof then "<eof>" else Symtab.term_name g.symtab a);
-           state = !state;
-           expected = expected_names !state;
-         })
-  in
-  let budget = ref ((64 * n) + 1024) in
-  let rec loop i =
-    decr budget;
-    if !budget < 0 then
-      raise
-        (Reject
-           {
-             at = min i (n - 1) |> max 0;
-             token = "<looping>";
-             state = !state;
-             expected = expected_names !state;
-           });
-    let a = term_id i in
-    match action !state a with
-    | Tables.Shift s' ->
-      ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
-      record (Sshift tokens.(i).Termname.term);
-      stack := (!state, cb.on_shift tokens.(i)) :: !stack;
-      state := s';
-      loop (i + 1)
-    | Tables.Reduce candidates ->
-      ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
-      let pop_args len =
-        let rec go k acc st =
-          if k = 0 then (acc, st)
-          else
-            match st with
-            | (s, v) :: rest -> go (k - 1) ((s, v) :: acc) rest
-            | [] -> assert false
-        in
-        let popped, rest = go len [] !stack in
-        (Array.of_list (List.map snd popped), popped, rest)
-      in
-      let pid =
-        if Array.length candidates = 1 then candidates.(0)
-        else begin
-          ctrs.Profile.semantic_choices <- ctrs.Profile.semantic_choices + 1;
-          let prods = Array.map (Grammar.production g) candidates in
-          let len = Array.length prods.(0).rhs in
-          Array.iter
-            (fun (p : Grammar.production) ->
-              if Array.length p.rhs <> len then
-                Fmt.failwith
-                  "matcher: semantic tie in state %d mixes rhs lengths \
-                   (corrupt tables?): %a vs %a"
-                  !state (Grammar.pp_production g) prods.(0)
-                  (Grammar.pp_production g) p)
-            prods;
-          let args, _, _ = pop_args len in
-          let idx = cb.choose prods [ args ] in
-          if idx < 0 || idx >= Array.length candidates then
-            Fmt.failwith
-              "matcher: choose returned %d for %d candidates" idx
-              (Array.length candidates);
-          candidates.(idx)
-        end
-      in
-      Profile.record_production pid;
-      let p = Grammar.production g pid in
-      let len = Array.length p.rhs in
-      let args, popped, rest = pop_args len in
-      let exposed =
-        match popped with (s, _) :: _ -> s | [] -> assert false
-      in
-      record (Sreduce pid);
-      let v = cb.on_reduce p args in
-      let target = goto exposed p.Grammar.lhs in
-      if target < 0 then reject i a;
-      stack := (exposed, v) :: rest;
-      state := target;
-      loop i
-    | Tables.Accept -> (
-      record Saccept;
-      match !stack with
-      | [ (_, v) ] -> v
-      | _ -> assert false)
-    | Tables.Error -> reject i a
-  in
-  ctrs.Profile.matcher_runs <- ctrs.Profile.matcher_runs + 1;
-  let value = loop 0 in
-  { value; trace = List.rev !steps }
-
-type engine = {
-  eng_grammar : Grammar.t;
-  eng_eof : int;
-  eng_action : int -> int -> Tables.action;
-  eng_code : int -> int -> int;
-  eng_tie : int -> int array;
-  eng_goto : int -> int -> int;
-  eng_expected : int -> int list;
-  eng_intern : string -> int;
-}
-
-(* Terminal interning with a small direct-mapped cache in front of the
-   symtab hashtable.  Token names are shared string constants
-   ({!Termname}), so after the first miss a name is recognised by
-   pointer.  Each slot holds one immutable (name, id) pair and an
-   update is a single pointer store, so the cache is safe to share
-   between domains: a racing reader sees either the old or the new
-   pair, and a lost update only costs a future miss.  Ids are
-   cache-independent, so parallel compiles stay deterministic. *)
-let interner symtab =
-  let cache = Array.make 64 ("", -2) in
-  fun s ->
-    let slot = (Char.code (String.unsafe_get s 0) + String.length s) land 63 in
-    let cs, cid = Array.unsafe_get cache slot in
-    if cs == s then cid
-    else begin
-      let id = Symtab.term_id symtab s in
-      Array.unsafe_set cache slot (s, id);
-      id
-    end
-
-let engine (tables : Tables.t) =
-  (* encode once at construction so the dense engine shares the
-     allocation-free hot loop with the packed one *)
-  let codes, aux = Gg_tablegen.Packed.encode_table tables in
-  let g = Tables.grammar tables in
-  {
-    eng_grammar = g;
-    eng_eof = Tables.eof tables;
-    eng_action = (fun s a -> tables.Tables.action.(s).(a));
-    eng_code = (fun s a -> codes.(s).(a));
-    eng_tie = (fun i -> aux.(i));
-    eng_goto = (fun s n -> tables.Tables.goto_.(s).(n));
-    eng_expected = Tables.expected tables;
-    eng_intern = interner g.Grammar.symtab;
-  }
-
-let packed_engine ~grammar (packed : Gg_tablegen.Packed.t) =
-  let g : Grammar.t = grammar in
-  (* eta-expanded on purpose: a partial application would compile to an
-     arity-1 curry chain, costing two indirect calls per table probe in
-     the hot loop; these are direct arity-2 closures.  [eng_action] is
-     off the production path (it drives {!run_engine_reference} only)
-     and keeps its historical shape. *)
-  {
-    eng_grammar = g;
-    eng_eof = Symtab.n_terms g.Grammar.symtab;
-    eng_action = Gg_tablegen.Packed.action packed;
-    eng_code = (fun s a -> Gg_tablegen.Packed.action_code packed s a);
-    eng_tie = (fun i -> Gg_tablegen.Packed.tie_candidates packed i);
-    eng_goto = (fun s n -> Gg_tablegen.Packed.goto packed s n);
-    eng_expected = (fun s -> Gg_tablegen.Packed.expected packed s);
-    eng_intern = interner g.Grammar.symtab;
-  }
-
-let run_engine ?trace e cb tokens =
-  run_with ?trace ~g:e.eng_grammar ~eof:e.eng_eof ~intern:e.eng_intern
-    ~code:e.eng_code ~tie:e.eng_tie ~goto:e.eng_goto
-    ~expected:e.eng_expected cb tokens
-
-let run_engine_reference ?trace e cb tokens =
-  run_with_reference ?trace ~g:e.eng_grammar ~eof:e.eng_eof
-    ~action:e.eng_action ~goto:e.eng_goto ~expected:e.eng_expected cb tokens
-
 let run_tree_engine ?trace ?special_constants e cb tree =
   run_engine ?trace e cb (Termname.linearize ?special_constants tree)
-
-let run ?trace (tables : Tables.t) cb tokens =
-  run_engine ?trace (engine tables) cb tokens
-
-let run_packed ?trace (packed : Gg_tablegen.Packed.t) ~grammar cb tokens =
-  run_engine ?trace (packed_engine ~grammar packed) cb tokens
-
-let run_tree ?trace ?special_constants tables cb tree =
-  run ?trace tables cb (Termname.linearize ?special_constants tree)
 
 let pp_step g ppf = function
   | Sshift name -> Fmt.pf ppf "shift  %s" name

@@ -37,45 +37,17 @@ exception Reject of error
 
 type 'a outcome = { value : 'a; trace : step list }
 
-(** A table representation bound to its lookup functions.  The matcher
-    is driven through this record, so the dense and the comb-packed
-    representations are interchangeable end to end — the production
-    path runs packed ({!packed_engine}); the dense form is kept for
-    differential testing ({!engine}). *)
+(** The matcher's table handle: a grammar, its packed tables
+    ({!Gg_tablegen.Packed}) and the terminal interner's cache — a small
+    direct-mapped pointer cache in front of
+    {!Gg_grammar.Symtab.term_id}, safe to share between domains. *)
 type engine = {
   eng_grammar : Grammar.t;
-  eng_eof : int;  (** terminal index of the end marker *)
-  eng_action : int -> int -> Tables.action;
-      (** decoded view; drives {!run_engine_reference} *)
-  eng_code : int -> int -> int;
-      (** the same cell as an integer code
-          ({!Gg_tablegen.Packed.action_code}'s encoding); drives the
-          production hot loop without allocating a [Tables.action] per
-          probe *)
-  eng_tie : int -> int array;
-      (** candidate productions of semantic tie [i] in the codes *)
-  eng_goto : int -> int -> int;
-  eng_expected : int -> int list;
-      (** terminals with a non-error action, for diagnostics *)
-  eng_intern : string -> int;
-      (** terminal id of a token name, [-1] if unknown; a
-          pointer-equality cache over {!Gg_grammar.Symtab.term_id},
-          safe to share between domains *)
+  eng_tables : Packed.t;
+  eng_interned : (string * int) array;
 }
 
-val engine : Tables.t -> engine
-
-(** The terminal interner the built-in engines use: a small
-    direct-mapped pointer cache in front of {!Gg_grammar.Symtab.term_id},
-    safe to share between domains.  Exposed so external table
-    representations (the profile-guided specializer) can build engines
-    with the same per-token lookup cost as {!packed_engine}. *)
-val interner : Gg_grammar.Symtab.t -> string -> int
-
-(** The packed engine is behaviourally identical to the dense one,
-    including error positions and expected sets (see
-    {!Gg_tablegen.Packed}). *)
-val packed_engine : grammar:Grammar.t -> Gg_tablegen.Packed.t -> engine
+val packed_engine : grammar:Grammar.t -> Packed.t -> engine
 
 (** [run_engine engine callbacks tokens] parses one linearised tree.
     Returns the semantic value of the start symbol.  Raises {!Reject}
@@ -85,19 +57,10 @@ val packed_engine : grammar:Grammar.t -> Gg_tablegen.Packed.t -> engine
     The loop is allocation-free per action: the parse stack is a pair
     of preallocated arrays, the token stream is interned to terminal
     ids once before the loop, and the lookahead is carried across
-    consecutive reductions. *)
+    consecutive reductions.  When {!Gg_profile.Metrics.enabled}, each
+    run adds its probes of hot and cold table rows to
+    [matcher.probe_hits_hot] and [matcher.probe_hits_cold]. *)
 val run_engine :
-  ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome
-
-(** The pre-optimisation shift/reduce loop — a [(state, value)] list
-    stack with a symtab lookup per action.  Behaviourally identical to
-    {!run_engine} (same values, traces and rejects), with one caveat:
-    the loop backstop here budgets every action where {!run_engine}
-    budgets reductions only, so on a runaway chain-rule loop both
-    reject with token ["<looping>"] but may report a different [state].
-    Kept only as the baseline for differential tests and the throughput
-    benchmark. *)
-val run_engine_reference :
   ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome
 
 (** Linearise a tree and run the matcher over it. *)
@@ -105,29 +68,6 @@ val run_tree_engine :
   ?trace:bool ->
   ?special_constants:bool ->
   engine ->
-  'a callbacks ->
-  Tree.t ->
-  'a outcome
-
-(** [run tables] = [run_engine (engine tables)]. *)
-val run :
-  ?trace:bool -> Tables.t -> 'a callbacks -> Termname.token list -> 'a outcome
-
-(** [run_packed packed ~grammar] =
-    [run_engine (packed_engine ~grammar packed)]. *)
-val run_packed :
-  ?trace:bool ->
-  Gg_tablegen.Packed.t ->
-  grammar:Grammar.t ->
-  'a callbacks ->
-  Termname.token list ->
-  'a outcome
-
-(** [run_tree tables] = [run_tree_engine (engine tables)]. *)
-val run_tree :
-  ?trace:bool ->
-  ?special_constants:bool ->
-  Tables.t ->
   'a callbacks ->
   Tree.t ->
   'a outcome

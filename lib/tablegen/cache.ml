@@ -13,17 +13,15 @@ let default_dir () =
         Filename.concat (Filename.concat h ".cache") "ggcg"
       | _ -> Filename.concat (Filename.get_temp_dir_name ()) "ggcg-cache"))
 
-let path ?dir ?(target = "vax") (g : Grammar.t) =
+(* a profiled table adds its profile digest to the (target, grammar
+   digest) key, so one grammar keeps one entry per workload profile *)
+let file ?dir ~target ~profile_digest (g : Grammar.t) =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  Filename.concat dir (Fmt.str "tables-%s-%s.tbl" target (Grammar.digest g))
+  let p = match profile_digest with None -> "" | Some d -> "-p" ^ d in
+  Filename.concat dir (Fmt.str "tables-%s-%s%s.tbl" target (Grammar.digest g) p)
 
-(* specialized tables are keyed by the profile digest on top of the
-   baseline (target, grammar digest) key, so one grammar can keep one
-   specialized entry per workload profile *)
-let spec_path ?dir ?(target = "vax") ~profile_digest (g : Grammar.t) =
-  let dir = match dir with Some d -> d | None -> default_dir () in
-  Filename.concat dir
-    (Fmt.str "tables-%s-%s-p%s.tbl" target (Grammar.digest g) profile_digest)
+let path ?dir ?(target = "vax") ?profile g =
+  file ?dir ~target ~profile_digest:(Option.map Heat.digest profile) g
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -31,16 +29,19 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let load ?dir ?target (g : Grammar.t) =
-  let file = path ?dir ?target g in
+let load ?dir ?target ?profile (g : Grammar.t) =
+  let file = path ?dir ?target ?profile g in
   if not (Sys.file_exists file) then None
   else
-    match Gg_profile.Trace.phase "tables.load" (fun () -> Packed.load g file) with
+    match
+      Gg_profile.Trace.phase "tables.load" (fun () ->
+          Packed.load ?profile g file)
+    with
     | t -> Some t
     | exception (Failure _ | Sys_error _) -> None
 
-let store ?dir ?target (g : Grammar.t) (t : Packed.t) =
-  let file = path ?dir ?target g in
+let store ?dir ?(target = "vax") (g : Grammar.t) (t : Packed.t) =
+  let file = file ?dir ~target ~profile_digest:(Packed.profile_digest t) g in
   match
     mkdir_p (Filename.dirname file);
     Filename.temp_file ~temp_dir:(Filename.dirname file) "tables-" ".tmp"
@@ -57,8 +58,19 @@ let store ?dir ?target (g : Grammar.t) (t : Packed.t) =
       (try Sys.remove tmp with Sys_error _ -> ());
       false)
 
-let build (g : Grammar.t) =
-  Gg_profile.Trace.phase "tables.build" (fun () -> Packed.pack (Tables.build g))
+let build ?profile (g : Grammar.t) =
+  Gg_profile.Trace.phase "tables.build" (fun () ->
+      let dense = Tables.build g in
+      match profile with
+      | None -> Packed.pack dense (* [dense] dies inside, as packing starts *)
+      | Some profile -> (
+        let t = Packed.pack ~profile dense in
+        (* a profiled layout is proven cell-for-cell before it is cached
+           or served: a layout bug fails loudly here instead of selecting
+           wrong instructions *)
+        match Packed.verify t dense with
+        | Ok () -> t
+        | Error m -> Fmt.failwith "profiled tables failed verification: %s" m))
 
 let file_size file =
   match open_in_bin file with
@@ -69,7 +81,7 @@ let file_size file =
   | exception Sys_error _ -> 0
 
 (* [tables-<target>-<digest>.tbl] is a baseline entry;
-   [tables-<target>-<digest>-p<digest>.tbl] a specialized one.  Parsed
+   [tables-<target>-<digest>-p<digest>.tbl] a profiled one.  Parsed
    from the filename alone so listing and eviction never open files. *)
 type entry = {
   e_file : string;
@@ -131,7 +143,7 @@ let clear_stale ?dir ?live_profiles (live : (string * Grammar.t) list) =
          let stale_tbl =
            match parse_name name with
            | Some (target, gdigest, Some pdigest) ->
-             (* a specialized entry is stale if its grammar is, or —
+             (* a profiled entry is stale if its grammar is, or —
                 when the caller declared which profiles are live — if
                 its profile is not one of them *)
              (not (List.mem (target, gdigest) live_keys))
@@ -157,14 +169,14 @@ let clear_stale ?dir ?live_profiles (live : (string * Grammar.t) list) =
            | exception Sys_error _ -> None)
   |> List.sort compare
 
-let load_or_build ?dir ?target (g : Grammar.t) =
+let load_or_build ?dir ?target ?profile (g : Grammar.t) =
   let ctrs = Profile.counters () in
-  match load ?dir ?target g with
+  match load ?dir ?target ?profile g with
   | Some t ->
     ctrs.Profile.cache_hits <- ctrs.Profile.cache_hits + 1;
     t
   | None ->
     ctrs.Profile.cache_misses <- ctrs.Profile.cache_misses + 1;
-    let t = build g in
+    let t = build ?profile g in
     ignore (store ?dir ?target g t);
     t

@@ -12,7 +12,7 @@ let order (ia, ca) (ib, cb) =
    non-positive counts dropped (an adversarial profile must not be able
    to make two equal workloads digest differently), the total recomputed
    from what survives.  Out-of-range production ids are kept — the
-   consumer ({!Specialize.build}) ignores ids its grammar lacks, and
+   consumer ({!Packed.pack}) ignores ids its grammar lacks, and
    dropping them here would make the digest grammar-dependent. *)
 let of_counts raw =
   let tbl = Hashtbl.create 64 in
@@ -27,7 +27,6 @@ let of_counts raw =
   { total = List.fold_left (fun a (_, c) -> a + c) 0 counts; counts }
 
 let empty = { total = 0; counts = [] }
-let count t id = try List.assoc id t.counts with Not_found -> 0
 
 (* The digest is over the canonical content, in id order, so any two
    files carrying the same firing counts key the same cache entry

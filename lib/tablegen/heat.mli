@@ -2,11 +2,11 @@
 
     This is the measurement Samuelsson's example-based table
     optimisation starts from — which productions a workload actually
-    fires, and how hard.  [mdgtool heat --json] writes it; the
-    specializer consumes it; its {!digest} keys specialized table cache
-    entries, so the canonical form must be stable: counts are merged,
-    non-positive entries dropped, and the digest is order- and
-    formatting-independent. *)
+    fires, and how hard.  [mdgtool heat --json] writes it;
+    {!Packed.pack} orders table rows by it; its {!digest} keys profiled
+    table cache entries, so the canonical form must be stable: counts
+    are merged, non-positive entries dropped, and the digest is order-
+    and formatting-independent. *)
 
 type t = private {
   total : int;  (** the sum of all counts *)
@@ -22,8 +22,6 @@ val empty : t
     production ids are preserved (the consumer ignores them), so the
     digest does not depend on any particular grammar. *)
 val of_counts : (int * int) list -> t
-
-val count : t -> int -> int
 
 (** MD5 over the canonical content; equal profiles digest equally
     whatever their source formatting or ordering. *)

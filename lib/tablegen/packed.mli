@@ -1,4 +1,4 @@
-(** Comb-compressed parse tables — the production representation.
+(** Comb-compressed parse tables — the one production representation.
 
     The CGGWS the paper started from "produced tables that were too
     large" and its matcher "spent too much time … unpacking cumbersome
@@ -12,90 +12,67 @@
     state's most frequent reduce becomes its {e default action} (the
     classic yacc-style transformation): only shifts, accepts and
     minority reduces are stored as exceptions.  Unlike yacc, a per-cell
-    validity bitset (one bit per dense cell, a 1/32 overhead) records
-    which cells hold a real action, so error cells answer [Error]
-    instead of the default reduction: the packed action function is
-    {e identical} to the dense one, including error positions and
-    expected sets — the parity Nederhof & Satta require of compact
-    tabular representations.
+    validity bitset records which cells hold a real action, so error
+    cells answer [Error] instead of the default reduction.
 
-    Lookup stays O(1); {!stats} reports the achieved compression.  The
-    tables embed a {!Gg_grammar.Grammar.digest} of their source grammar
-    and {!load} rejects files built from any other grammar, even one
-    with identical symbol counts. *)
+    A heat profile ({!Heat}, after Samuelsson's example-based table
+    optimisation) only chooses the row order.  Without one every state
+    is {e hot} and rows pack densest-first.  With one, the states that
+    carry ~90% of the estimated probe heat pack hottest-first, so the
+    workload's working set lands in the low slots, and the remaining
+    {e cold} states leave the comb for exact per-state exception lists.
+    The hot comb is padded past every hot row's reach, so the hot probe
+    needs no bounds check.
+
+    Whatever the order, the table decodes cell-for-cell like the dense
+    one — the same actions, [Error] cells and expected sets — the parity
+    Nederhof & Satta require of compact tabular representations.  The
+    tables embed the {!Gg_grammar.Grammar.digest} of their grammar and
+    the {!Heat.digest} of their profile, and {!load} checks both. *)
 
 type t
 
-val pack : Tables.t -> t
-
-(** The representation-independent half of {!pack}: validity bits,
-    default reductions, per-state exception rows (cells whose code
-    differs from the state's default) and the tie-candidate arrays.
-    {!pack} lays the rows out densest-first; the profile-guided
-    specializer ({!Gg_specialize.Specialize}) lays the same rows out
-    hottest-first — both decode identically to the dense table because
-    they share this preparation. *)
-type prepared = {
-  p_n_terms : int;
-  p_n_nonterms : int;
-  p_n_states : int;
-  p_grammar_digest : string;
-  p_width : int;  (** action row width, [p_n_terms + 1] for eof *)
-  p_valid : Bytes.t;  (** bitset: 1 = the dense action cell is non-Error *)
-  p_defaults : int array;
-  p_act_rows : (int * (int * int) list) list;
-  p_goto_rows : (int * (int * int) list) list;
-  p_aux : int array array;
-}
-
-val prepare : Tables.t -> prepared
+(** [pack ?profile tables] lays the dense [tables] out densest-first,
+    or hottest-first with cold exception lists when [profile] is given.
+    A profile with no usable heat (empty, or only foreign production
+    ids) gives the densest-first layout, still keyed by its digest. *)
+val pack : ?profile:Heat.t -> Tables.t -> t
 
 (** First-fit row-displacement packing of [(row, (column, value) list)]
-    rows into a (base, check, value) triple: each row lands at the
-    lowest base where all its cells are free.  Rows are packed
-    densest-first (a stable sort, so equally dense rows keep their
-    order) unless [keep_order] is set, in which case the given order is
-    the packing order (the specializer packs hottest-first so hot rows
-    share cache lines).  The search skips only bases that cannot fit,
-    so the result is that of a plain scan from base 0 for every row. *)
+    rows, in the order given, into a (base, check, value) triple: each
+    row lands at the lowest base where all its cells are free.  The
+    search skips only bases that cannot fit, so the result is that of a
+    plain scan from base 0 for every row.  [check] and [value] reach
+    past every given row's base + [width] (unused slots are [-1] and
+    [0]), so probing a row at any column stays in range. *)
 val comb_pack :
-  ?keep_order:bool ->
   width:int ->
   n_states:int ->
   (int * (int * int) list) list ->
   int array * int array * int array
 
-(** O(1) decoded lookups, equal to the dense table's entries in every
-    cell (including [Error] cells — see above). *)
+(** The decoded lookup, equal to the dense table's entry in every cell
+    (including [Error] cells). *)
 val action : t -> int -> int -> Tables.action
 
 (** The same lookup as an integer code — the matcher's allocation-free
     view of the table.  [0] is error, [3] accept, [(s lsl 2) lor 1]
     shift to state [s], [(p lsl 2) lor 2] reduce by production [p], and
     [((i+1) lsl 2) lor 3] a semantic tie whose candidate productions
-    are [tie_candidates t i].  [action t s a = decode (action_code t s a)]
-    in every cell. *)
+    are [tie_candidates t i]. *)
 val action_code : t -> int -> int -> int
 
 (** The candidate array of tie [i], in the same order the dense table's
     [Reduce] carries them. *)
 val tie_candidates : t -> int -> int array
 
-(** Encode a dense table's action matrix into the same integer codes,
-    plus the tie-candidate arrays indexed by the codes' [i] — lets the
-    dense engine share the matcher's allocation-free hot loop. *)
-val encode_table : Tables.t -> int array array * int array array
-
-(** [has_action t s a] — does state [s] have a non-error action on
-    terminal [a]?  O(1) bitset probe. *)
-val has_action : t -> int -> int -> bool
+(** Is the state's row in the hot comb (rather than a cold exception
+    list)? *)
+val is_hot : t -> int -> bool
 
 (** Terminals with a non-error action in a state, equal to
     {!Tables.expected} on the source tables. *)
 val expected : t -> int -> int list
-
-(** The state's default reduction, if any. *)
-val default_of : t -> int -> Tables.action option
 
 val goto : t -> int -> int -> int
 
@@ -103,26 +80,38 @@ val goto : t -> int -> int -> int
     built from. *)
 val digest : t -> string
 
+(** The {!Heat.digest} of the profile that ordered the rows, if any. *)
+val profile_digest : t -> string option
+
+(** Cell-for-cell parity against the dense tables: every action cell
+    (including [Error]), every goto, every expected set.  [Error _]
+    names the first differing cell. *)
+val verify : t -> Tables.t -> (unit, string) result
+
 type stats = {
   states : int;
+  hot_states : int;
   dense_cells : int;  (** action + goto cells in the dense tables *)
-  packed_cells : int;  (** slots used by the packed arrays + bitset *)
+  packed_cells : int;  (** slots used by all arrays + the bitset *)
   dense_bytes : int;  (** at one word per cell *)
   packed_bytes : int;
   ratio : float;  (** packed / dense *)
+  hot_slots : int;  (** padded hot comb length *)
+  cold_entries : int;  (** exact cold exception cells *)
 }
 
 val stats : t -> stats
 val pp_stats : stats Fmt.t
 
-(** The [ggcg-tables-v2] on-disk format: magic, then the marshalled
-    tables with the embedded grammar digest.  The tables are built once
-    per target machine, as in the paper, and shipped with (or cached
-    beside) the compiler. *)
+(** The [ggcg-tables-v4] on-disk format: magic, then the marshalled
+    tables with the embedded grammar and profile digests.  The tables
+    are built once per target machine, as in the paper, and shipped
+    with (or cached beside) the compiler. *)
 val save : t -> string -> unit
 
-(** Loads and validates: wrong magic, truncation, symbol-count mismatch
-    and grammar-digest mismatch (an edited grammar with unchanged
-    symbol counts) all raise [Failure] rather than selecting wrong
-    instructions. *)
-val load : Gg_grammar.Grammar.t -> string -> t
+(** Loads and validates.  Raises [Failure] on a wrong magic (including
+    the retired v2 and v3 formats), truncation, a symbol-count,
+    grammar-digest or profile-digest mismatch ([profile] absent means
+    the file must carry none), and on arrays whose shape would let a
+    probe read out of bounds. *)
+val load : ?profile:Heat.t -> Gg_grammar.Grammar.t -> string -> t

@@ -24,17 +24,16 @@ let default_tables = function
   | Backend.Vax -> Lazy.force default_vax_tables
   | Backend.Risc -> Lazy.force default_risc_tables
 
-let build_tables target gopts =
-  Driver.build_tables ~backend:(backend_of target) gopts
+let build_tables ?profile target gopts =
+  Driver.build_tables ~backend:(backend_of target) ?profile gopts
 
-let cached_tables ?dir target gopts =
-  Driver.cached_tables ?dir ~backend:(backend_of target) gopts
+let cached_tables ?dir ?profile target gopts =
+  Driver.cached_tables ?dir ~backend:(backend_of target) ?profile gopts
 
-(* Profile-guided specialization (Gg_specialize): the auto profile is
-   the firing heat of the fixed mini-C corpus compiled with this
-   target's own tables — each grammar numbers its productions
-   differently, so a profile is grammar-specific and must be collected
-   per target. *)
+(* The auto heat profile is the firing heat of the fixed mini-C corpus
+   compiled with this target's own tables — each grammar numbers its
+   productions differently, so a profile is grammar-specific and must
+   be collected per target. *)
 let heat_profile target =
   let saved = !Gg_profile.Profile.coverage_enabled in
   Gg_profile.Profile.coverage_enabled := true;
@@ -49,54 +48,17 @@ let heat_profile target =
   let counts = Gg_profile.Profile.production_counts () in
   Gg_profile.Profile.reset_coverage ();
   Gg_profile.Profile.coverage_enabled := saved;
-  Gg_specialize.Heat.of_counts counts
+  Gg_tablegen.Heat.of_counts counts
 
-let specialized_tables ?dir ?(use_cache = true) ~profile target =
+let grammar target gopts =
   let b = backend_of target in
-  let g = Lazy.force b.Backend.default_grammar in
-  let name = Backend.target_name target in
-  let spec =
-    match
-      if use_cache then
-        Gg_specialize.Specialize.cache_load ?dir ~target:name ~profile g
-      else None
-    with
-    | Some t -> t
-    | None ->
-      let dense =
-        Gg_profile.Trace.phase "tables.build" (fun () ->
-            Gg_tablegen.Tables.build g)
-      in
-      let t =
-        Gg_profile.Trace.phase "tables.specialize" (fun () ->
-            Gg_specialize.Specialize.build ~profile dense)
-      in
-      (* never serve an unproven layout: parity is checked before the
-         table is cached or used, so a specializer bug fails loudly
-         here instead of selecting wrong instructions *)
-      (match Gg_specialize.Specialize.verify t dense with
-      | Ok () -> ()
-      | Error m ->
-        Fmt.failwith "specialized %s tables failed verification: %s" name m);
-      if use_cache then
-        ignore (Gg_specialize.Specialize.cache_store ?dir ~target:name g t
-                 : bool);
-      t
-  in
-  Driver.of_engine ~backend:b (Gg_specialize.Specialize.engine ~grammar:g spec)
+  if gopts = Gg_vax.Grammar_def.default then
+    Lazy.force b.Backend.default_grammar
+  else b.Backend.grammar_of gopts
 
 (* the (target name, grammar) pairs a cache eviction must keep *)
 let live_cache_entries gopts =
-  List.map
-    (fun t ->
-      let b = backend_of t in
-      let g =
-        if gopts = Gg_vax.Grammar_def.default then
-          Lazy.force b.Backend.default_grammar
-        else b.Backend.grammar_of gopts
-      in
-      (Backend.target_name t, g))
-    all
+  List.map (fun t -> (Backend.target_name t, grammar t gopts)) all
 
 exception Sim_error of string
 exception Parse_error of int * string

@@ -20,12 +20,20 @@ val all : Backend.target list
     shared. *)
 val default_tables : Backend.target -> Gg_codegen.Driver.tables
 
+(** In-process tables, rows ordered by [profile] if given. *)
 val build_tables :
-  Backend.target -> Gg_vax.Grammar_def.options -> Gg_codegen.Driver.tables
+  ?profile:Gg_tablegen.Heat.t ->
+  Backend.target ->
+  Gg_vax.Grammar_def.options ->
+  Gg_codegen.Driver.tables
 
-(** Through the on-disk cache ({!Gg_tablegen.Cache}). *)
+(** Through the on-disk cache ({!Gg_tablegen.Cache}), keyed by target,
+    grammar digest and [profile] digest.  A profiled table is verified
+    cell-for-cell against the dense tables before it is cached or used
+    and raises [Failure] if it differs. *)
 val cached_tables :
   ?dir:string ->
+  ?profile:Gg_tablegen.Heat.t ->
   Backend.target ->
   Gg_vax.Grammar_def.options ->
   Gg_codegen.Driver.tables
@@ -34,21 +42,12 @@ val cached_tables :
     compiling the fixed mini-C corpus with the target's own tables.
     Production ids are grammar-specific, so a profile collected for one
     target does not transfer to another. *)
-val heat_profile : Backend.target -> Gg_specialize.Heat.t
+val heat_profile : Backend.target -> Gg_tablegen.Heat.t
 
-(** Tables whose packed layout is specialized around [profile]
-    ({!Gg_specialize.Specialize}): cache-first through the
-    (target, grammar digest, profile digest) entry unless [use_cache]
-    is false, else built from scratch, {e verified cell-for-cell
-    against the dense tables}, and stored.  Raises [Failure] if
-    verification fails — a specializer bug can never select wrong
-    instructions. *)
-val specialized_tables :
-  ?dir:string ->
-  ?use_cache:bool ->
-  profile:Gg_specialize.Heat.t ->
-  Backend.target ->
-  Gg_codegen.Driver.tables
+(** The target's grammar for these options; the default options share
+    the backend's lazily built default grammar. *)
+val grammar :
+  Backend.target -> Gg_vax.Grammar_def.options -> Gg_grammar.Grammar.t
 
 (** The (target name, grammar) pairs that are live for the given
     grammar options — the keep-list for {!Gg_tablegen.Cache.clear_stale}

@@ -82,9 +82,8 @@ let test_uses_control_flow () =
 
 (* -- packed vs dense on fuzzed trees (property-based) ----------------------- *)
 
-let vax_grammar = lazy (Oracle.default_grammar ())
+let vax_grammar = Gg_vax.Grammar_def.default_grammar
 let dense_tables = lazy (Tables.build (Lazy.force vax_grammar))
-let dense_engine = lazy (Matcher.engine (Lazy.force dense_tables))
 
 let packed_engine =
   lazy
@@ -109,9 +108,9 @@ let fuzzed_trees seed =
         tr.Transform.func.Tree.body)
     prog.Tree.funcs
 
-let trace_of engine tokens =
-  match Matcher.run_engine ~trace:true engine null_cb tokens with
-  | outcome -> Ok outcome.Matcher.trace
+let trace_of run tokens =
+  match run null_cb tokens with
+  | (outcome : unit Matcher.outcome) -> Ok outcome.Matcher.trace
   | exception Matcher.Reject e -> Error (e.Matcher.at, e.Matcher.token)
 
 let prop_packed_equals_dense_on_fuzzed =
@@ -124,8 +123,10 @@ let prop_packed_equals_dense_on_fuzzed =
           let tokens = Termname.linearize tree in
           (* cell-for-cell: the full shift/reduce traces, not just the
              final assembly, must coincide *)
-          trace_of (Lazy.force dense_engine) tokens
-          = trace_of (Lazy.force packed_engine) tokens)
+          trace_of (Reference.run ~trace:true (Lazy.force dense_tables)) tokens
+          = trace_of
+              (Matcher.run_engine ~trace:true (Lazy.force packed_engine))
+              tokens)
         (fuzzed_trees seed))
 
 (* -- shrinker --------------------------------------------------------------- *)

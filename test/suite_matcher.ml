@@ -11,10 +11,17 @@ module Termname = Gg_ir.Termname
 
 let tables = lazy (Tables.build Toy.grammar)
 
+let engine =
+  lazy
+    (Matcher.packed_engine ~grammar:Toy.grammar
+       (Packed.pack (Lazy.force tables)))
+
 let run_tree tree =
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  let outcome = Matcher.run_tree ~trace:true (Lazy.force tables) cb tree in
+  let outcome =
+    Matcher.run_tree_engine ~trace:true (Lazy.force engine) cb tree
+  in
   (List.rev !emitted, outcome)
 
 let test_simple_assign () =
@@ -66,7 +73,7 @@ let test_reject_unknown_terminal () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run_tree (Lazy.force tables) cb tree with
+  match Matcher.run_tree_engine (Lazy.force engine) cb tree with
   | exception Matcher.Reject _ -> ()
   | _ -> Alcotest.fail "byte tree accepted by long-only grammar"
 
@@ -77,7 +84,7 @@ let test_reject_reports_state_and_expected () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run (Lazy.force tables) cb tokens with
+  match Matcher.run_engine (Lazy.force engine) cb tokens with
   | exception Matcher.Reject e ->
     Alcotest.(check int) "at token 0" 0 e.Matcher.at;
     Alcotest.(check (list string)) "expected assign" [ "Assign.l" ]
@@ -93,7 +100,7 @@ let test_reject_on_truncated_input () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run (Lazy.force tables) cb tokens with
+  match Matcher.run_engine (Lazy.force engine) cb tokens with
   | exception Matcher.Reject e ->
     Alcotest.(check string) "eof token" "<eof>" e.Matcher.token
   | _ -> Alcotest.fail "truncated input accepted"
@@ -140,7 +147,8 @@ let prop_random_trees_parse =
       let emitted = ref [] in
       let cb = Toy.string_callbacks emitted in
       let _ =
-        Matcher.run_tree ~special_constants:false (Lazy.force tables) cb tree
+        Matcher.run_tree_engine ~special_constants:false (Lazy.force engine) cb
+          tree
       in
       List.length !emitted <= count_ops tree)
 
@@ -151,17 +159,16 @@ let prop_linear_time =
       let emitted = ref [] in
       let cb = Toy.string_callbacks emitted in
       let outcome =
-        Matcher.run_tree ~trace:true ~special_constants:false
-          (Lazy.force tables) cb tree
+        Matcher.run_tree_engine ~trace:true ~special_constants:false
+          (Lazy.force engine) cb tree
       in
       (* each token is shifted once and every reduction consumes stack:
          total steps are bounded by a small multiple of the input *)
       List.length outcome.Matcher.trace <= 4 * Tree.size tree + 2)
 
+(* the packed tables must emit what the dense reference loop emits *)
 let test_packed_tables_drive_matcher () =
-  (* the comb-packed tables must produce identical emitted sequences *)
   let dense = Lazy.force tables in
-  let packed = Gg_tablegen.Packed.pack dense in
   let run_one drive tree =
     let emitted = ref [] in
     let cb = Toy.string_callbacks emitted in
@@ -170,13 +177,9 @@ let test_packed_tables_drive_matcher () =
   in
   List.iter
     (fun tree ->
-      let via_dense = run_one (fun cb t -> Matcher.run_tree dense cb t) tree in
+      let via_dense = run_one (Reference.run_tree dense) tree in
       let via_packed =
-        run_one
-          (fun cb t ->
-            Matcher.run_packed packed ~grammar:Toy.grammar cb
-              (Termname.linearize t))
-          tree
+        run_one (Matcher.run_tree_engine (Lazy.force engine)) tree
       in
       Alcotest.(check (list string)) "same code" via_dense via_packed)
     [ Toy.assign_tree; Toy.nested_tree ]
@@ -185,8 +188,6 @@ let prop_packed_equals_dense =
   QCheck.Test.make ~name:"packed tables emit the same code" ~count:100
     (QCheck.make random_long_tree)
     (fun tree ->
-      let dense = Lazy.force tables in
-      let packed = Gg_tablegen.Packed.pack dense in
       let run_one drive =
         let emitted = ref [] in
         let cb = Toy.string_callbacks emitted in
@@ -194,10 +195,11 @@ let prop_packed_equals_dense =
         List.rev !emitted
       in
       run_one (fun cb ->
-          Matcher.run_tree ~special_constants:false dense cb tree)
+          Reference.run_tree ~special_constants:false (Lazy.force tables) cb
+            tree)
       = run_one (fun cb ->
-            Matcher.run_packed packed ~grammar:Toy.grammar cb
-              (Termname.linearize ~special_constants:false tree)))
+            Matcher.run_tree_engine ~special_constants:false (Lazy.force engine)
+              cb tree))
 
 let suite =
   [

@@ -180,9 +180,14 @@ let test_fuzzed_programs_identical () =
       Alcotest.failf "seed %d: -j4 assembly differs from -j1" seed
   done
 
-(* -- optimised loop vs the pre-optimisation reference ------------------------ *)
+(* -- the packed matcher vs the dense reference loop ------------------------ *)
 
-let toy_engine = lazy (Matcher.engine (Tables.build Toy.grammar))
+let toy_tables = lazy (Tables.build Toy.grammar)
+
+let toy_engine =
+  lazy
+    (Matcher.packed_engine ~grammar:Toy.grammar
+       (Gg_tablegen.Packed.pack (Lazy.force toy_tables)))
 
 (* everything observable: the final value, the full trace, the emitted
    instructions, and on a reject every field of the error.  The one
@@ -194,7 +199,7 @@ let toy_engine = lazy (Matcher.engine (Tables.build Toy.grammar))
 let outcome_of runner tokens =
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match runner (Lazy.force toy_engine) cb tokens with
+  match runner cb tokens with
   | (o : string Matcher.outcome) ->
     Ok (o.Matcher.value, o.Matcher.trace, List.rev !emitted)
   | exception Matcher.Reject { token = "<looping>"; _ } ->
@@ -202,8 +207,8 @@ let outcome_of runner tokens =
   | exception Matcher.Reject e ->
     Error (e.Matcher.at, e.Matcher.token, e.Matcher.state, e.Matcher.expected)
 
-let optimised e cb t = Matcher.run_engine ~trace:true e cb t
-let reference e cb t = Matcher.run_engine_reference ~trace:true e cb t
+let optimised cb t = Matcher.run_engine ~trace:true (Lazy.force toy_engine) cb t
+let reference cb t = Reference.run ~trace:true (Lazy.force toy_tables) cb t
 
 let prop_parity_on_random_trees =
   QCheck.Test.make ~name:"optimised = reference loop on random trees"

@@ -287,7 +287,7 @@ let test_spill_provenance_marks () =
 (* -- heat-file parsing ------------------------------------------------------ *)
 
 let test_parse_heat () =
-  let module Heat = Gg_specialize.Heat in
+  let module Heat = Gg_tablegen.Heat in
   let heat =
     Heat.parse
       "{\n  \"total\": 42,\n  \"productions\": [\n    {\"id\": 3, \"count\": \

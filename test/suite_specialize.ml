@@ -1,15 +1,15 @@
-(* Differential tests for profile-guided table specialization: for any
-   profile — observed, empty, uniform or adversarial — the specialized
-   table must decode cell-for-cell like the dense one, drive the
-   matcher to identical traces and rejects, and compile the corpus to
-   byte-identical assembly on both targets.  Plus the v3 save format,
-   the (grammar, profile)-keyed cache entries, and the hot/cold probe
+(* Differential tests for heat-ordered packing ([Packed.pack
+   ~profile]): for any profile — observed, empty, uniform or
+   adversarial — the table must decode cell-for-cell like the dense
+   one, drive the matcher to the dense reference loop's traces and
+   rejects, and compile the corpus to byte-identical assembly on both
+   targets.  Plus the profile digest in the saved file, the
+   (grammar, profile)-keyed cache entries, and the hot/cold probe
    counters. *)
 
 open Gg_grammar
 open Gg_tablegen
 open Gg_matcher
-open Gg_specialize
 module Tree = Gg_ir.Tree
 module Transform = Gg_transform.Transform
 module Grammar_def = Gg_vax.Grammar_def
@@ -24,7 +24,6 @@ module Metrics = Gg_profile.Metrics
 let vax_grammar = lazy (Grammar_def.grammar Grammar_def.default)
 let dense = lazy (Tables.build (Lazy.force vax_grammar))
 let packed = lazy (Packed.pack (Lazy.force dense))
-let dense_engine = lazy (Matcher.engine (Lazy.force dense))
 
 let null_cb : unit Matcher.callbacks =
   {
@@ -69,7 +68,7 @@ let observed_profile =
      List.iter
        (fun toks ->
          ignore
-           (Matcher.run_engine (Lazy.force dense_engine) null_cb toks
+           (Reference.run (Lazy.force dense) null_cb toks
              : unit Matcher.outcome))
        (Lazy.force corpus_tokens);
      let counts = Profile.production_counts () in
@@ -77,25 +76,30 @@ let observed_profile =
      Profile.coverage_enabled := saved;
      Heat.of_counts counts)
 
-let specialized profile =
-  Specialize.build ~profile (Lazy.force dense)
+let specialized profile = Packed.pack ~profile (Lazy.force dense)
 
 let spec_hot = lazy (specialized (Lazy.force observed_profile))
 
 let spec_engine spec =
-  Specialize.engine ~grammar:(Lazy.force vax_grammar) spec
+  Matcher.packed_engine ~grammar:(Lazy.force vax_grammar) spec
 
-let run_outcome engine tokens =
-  match Matcher.run_engine ~trace:true engine null_cb tokens with
-  | outcome -> Ok outcome.Matcher.trace
+let run_outcome run tokens =
+  match run null_cb tokens with
+  | (outcome : unit Matcher.outcome) -> Ok outcome.Matcher.trace
   | exception Matcher.Reject e -> Error e
+
+let dense_outcome tokens =
+  run_outcome (Reference.run ~trace:true (Lazy.force dense)) tokens
+
+let spec_outcome se tokens =
+  run_outcome (Matcher.run_engine ~trace:true se) tokens
 
 let check_same_traces what spec =
   let se = spec_engine spec in
   List.iteri
     (fun i tokens ->
-      let d = run_outcome (Lazy.force dense_engine) tokens in
-      let s = run_outcome se tokens in
+      let d = dense_outcome tokens in
+      let s = spec_outcome se tokens in
       match (d, s) with
       | Ok dt, Ok st ->
         if dt <> st then Alcotest.failf "%s: tree %d: traces differ" what i
@@ -113,9 +117,24 @@ let check_same_traces what spec =
     (Lazy.force corpus_tokens)
 
 let test_verify_observed () =
-  match Specialize.verify (Lazy.force spec_hot) (Lazy.force dense) with
+  match Packed.verify (Lazy.force spec_hot) (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify: %s" m
+
+(* the parity invariant on both targets' full tables, for the layout
+   without a profile and for the auto heat profile *)
+let test_verify_both_targets () =
+  List.iter
+    (fun target ->
+      let b = Targets.backend_of target in
+      let dense = Tables.build (Lazy.force b.Backend.default_grammar) in
+      List.iter
+        (fun profile ->
+          match Packed.verify (Packed.pack ?profile dense) dense with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "%s: %s" (Targets.name target) m)
+        [ None; Some (Targets.heat_profile target) ])
+    Targets.all
 
 let test_traces_observed () =
   check_same_traces "observed profile" (Lazy.force spec_hot)
@@ -123,7 +142,7 @@ let test_traces_observed () =
 let test_traces_empty_profile () =
   (* no heat at all: the degenerate all-hot layout must still be exact *)
   let spec = specialized Heat.empty in
-  (match Specialize.verify spec (Lazy.force dense) with
+  (match Packed.verify spec (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify(empty): %s" m);
   check_same_traces "empty profile" spec
@@ -134,7 +153,7 @@ let test_traces_uniform_profile () =
     Heat.of_counts (List.init (Grammar.n_productions g) (fun id -> (id, 1)))
   in
   let spec = specialized uniform in
-  (match Specialize.verify spec (Lazy.force dense) with
+  (match Packed.verify spec (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify(uniform): %s" m);
   check_same_traces "uniform profile" spec
@@ -155,13 +174,12 @@ let test_qcheck_adversarial_profiles () =
   let prop raw =
     let profile = Heat.of_counts raw in
     let spec = specialized profile in
-    (match Specialize.verify spec (Lazy.force dense) with
+    (match Packed.verify spec (Lazy.force dense) with
     | Ok () -> ()
     | Error m -> QCheck.Test.fail_reportf "verify: %s" m);
     let se = spec_engine spec in
     List.for_all
-      (fun tokens ->
-        run_outcome (Lazy.force dense_engine) tokens = run_outcome se tokens)
+      (fun tokens -> dense_outcome tokens = spec_outcome se tokens)
       some_trees
   in
   let test =
@@ -170,9 +188,8 @@ let test_qcheck_adversarial_profiles () =
   in
   QCheck.Test.check_exn test
 
-(* dense vs packed vs specialized action traces, plus byte-identical
-   assembly, across the fuzz corpus on both targets — the tentpole's
-   end-to-end differential *)
+(* byte-identical assembly from the densest-first and the heat-ordered
+   layouts across the fuzz corpus on both targets *)
 let fuzz_seeds = List.init 201 (fun s -> s)
 
 let test_fuzz_assembly_parity () =
@@ -181,7 +198,8 @@ let test_fuzz_assembly_parity () =
       let profile = Targets.heat_profile target in
       let baseline = Targets.default_tables target in
       let spec_tables =
-        Targets.specialized_tables ~use_cache:false ~profile target
+        Targets.build_tables ~profile target
+          Driver.default_options.Driver.grammar
       in
       List.iter
         (fun seed ->
@@ -207,23 +225,27 @@ let test_spec_bytes_not_larger () =
       let dense = Tables.build g in
       let packed = Packed.pack dense in
       let profile = Targets.heat_profile target in
-      let spec = Specialize.build ~profile dense in
+      let spec = Packed.pack ~profile dense in
       let pb = (Packed.stats packed).Packed.packed_bytes in
-      let sb = (Specialize.stats spec).Specialize.spec_bytes in
+      let sb = (Packed.stats spec).Packed.packed_bytes in
       if sb > pb then
         Alcotest.failf "%s: specialized %d bytes > baseline %d bytes"
           (Targets.name target) sb pb)
     Targets.all
 
 let test_stats_shape () =
-  let s = Specialize.stats (Lazy.force spec_hot) in
-  Alcotest.(check bool) "some states hot" true (s.Specialize.hot_states > 0);
+  let s = Packed.stats (Lazy.force spec_hot) in
+  Alcotest.(check bool) "some states hot" true (s.Packed.hot_states > 0);
   Alcotest.(check bool)
     "not every state hot" true
-    (s.Specialize.hot_states < s.Specialize.states);
-  Alcotest.(check bool)
-    "cold entries exist" true
-    (s.Specialize.cold_entries > 0)
+    (s.Packed.hot_states < s.Packed.states);
+  Alcotest.(check bool) "cold entries exist" true (s.Packed.cold_entries > 0);
+  (* without a profile every state is hot and nothing is cold *)
+  let b = Packed.stats (Lazy.force packed) in
+  Alcotest.(check int) "all hot without a profile" b.Packed.states
+    b.Packed.hot_states;
+  Alcotest.(check int) "no cold entries without a profile" 0
+    b.Packed.cold_entries
 
 let test_probe_counters () =
   let was = !Metrics.enabled in
@@ -268,24 +290,26 @@ let test_save_load () =
   let path = Filename.temp_file "spec-tables" ".tbl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  Specialize.save spec path;
-  let loaded = Specialize.load ~profile:(Lazy.force observed_profile) g path in
-  (match Specialize.verify loaded (Lazy.force dense) with
+  let profile = Lazy.force observed_profile in
+  Packed.save spec path;
+  let loaded = Packed.load ~profile g path in
+  (match Packed.verify loaded (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify after load: %s" m);
-  Alcotest.(check string) "profile digest survives"
-    (Specialize.profile_digest spec)
-    (Specialize.profile_digest loaded);
-  (* a v2 (baseline packed) file must be refused *)
+  Alcotest.(check (option string)) "profile digest survives"
+    (Some (Heat.digest profile))
+    (Packed.profile_digest loaded);
+  (* the profile digest is part of the file's key: a file without one
+     is refused under a profile, and vice versa *)
+  let refused what profile =
+    match Packed.load ?profile g path with
+    | _ -> Alcotest.failf "loaded %s" what
+    | exception Failure _ -> ()
+  in
+  refused "a profiled file without a profile" None;
+  refused "despite a profile digest mismatch" (Some Heat.empty);
   Packed.save (Lazy.force packed) path;
-  (match Specialize.load g path with
-  | _ -> Alcotest.fail "loaded a v2 file as v3"
-  | exception Failure _ -> ());
-  (* and a stale-profile load must be refused when a profile is pinned *)
-  Specialize.save spec path;
-  match Specialize.load ~profile:Heat.empty g path with
-  | _ -> Alcotest.fail "loaded despite profile digest mismatch"
-  | exception Failure _ -> ()
+  refused "a file without a profile under one" (Some profile)
 
 let with_temp_cache_dir f =
   let dir =
@@ -306,16 +330,19 @@ let test_cache_roundtrip () =
   let g = Lazy.force vax_grammar in
   let profile = Lazy.force observed_profile in
   let spec = Lazy.force spec_hot in
-  Alcotest.(check bool) "store" true
-    (Specialize.cache_store ~dir ~target:"vax" g spec);
-  (match Specialize.cache_load ~dir ~target:"vax" ~profile g with
+  Alcotest.(check bool) "store" true (Cache.store ~dir ~target:"vax" g spec);
+  (match Cache.load ~dir ~target:"vax" ~profile g with
   | Some t ->
-    Alcotest.(check string) "profile digest" (Heat.digest profile)
-      (Specialize.profile_digest t)
+    Alcotest.(check (option string)) "profile digest"
+      (Some (Heat.digest profile))
+      (Packed.profile_digest t)
   | None -> Alcotest.fail "cache miss after store");
-  (* a different profile misses: the digest is part of the key *)
-  match Specialize.cache_load ~dir ~target:"vax" ~profile:Heat.empty g with
+  (* a different or absent profile misses: the digest is part of the key *)
+  (match Cache.load ~dir ~target:"vax" ~profile:Heat.empty g with
   | Some _ -> Alcotest.fail "hit with the wrong profile"
+  | None -> ());
+  match Cache.load ~dir ~target:"vax" g with
+  | Some _ -> Alcotest.fail "hit without a profile"
   | None -> ()
 
 let test_cache_listing_and_eviction () =
@@ -325,8 +352,8 @@ let test_cache_listing_and_eviction () =
   let spec = Lazy.force spec_hot in
   let packed = Lazy.force packed in
   ignore (Cache.store ~dir ~target:"vax" g packed : bool);
-  ignore (Specialize.cache_store ~dir ~target:"vax" g spec : bool);
-  (* listing tells baseline and specialized entries apart *)
+  ignore (Cache.store ~dir ~target:"vax" g spec : bool);
+  (* listing tells entries with and without a profile apart *)
   let entries = Cache.list ~dir () in
   Alcotest.(check int) "two entries" 2 (List.length entries);
   let spec_entries =
@@ -350,7 +377,7 @@ let test_cache_listing_and_eviction () =
   in
   Alcotest.(check int) "stale profile evicted" 1 (List.length removed);
   (* stale grammar: a fresh specialized entry goes too *)
-  ignore (Specialize.cache_store ~dir ~target:"vax" g spec : bool);
+  ignore (Cache.store ~dir ~target:"vax" g spec : bool);
   let removed = Cache.clear_stale ~dir [] in
   Alcotest.(check int) "stale grammar evicts everything" 2
     (List.length removed)
@@ -358,6 +385,8 @@ let test_cache_listing_and_eviction () =
 let suite =
   [
     Alcotest.test_case "verify: observed profile" `Quick test_verify_observed;
+    Alcotest.test_case "verify: both targets, with and without a profile"
+      `Quick test_verify_both_targets;
     Alcotest.test_case "traces: observed profile" `Quick test_traces_observed;
     Alcotest.test_case "traces: empty profile" `Quick test_traces_empty_profile;
     Alcotest.test_case "traces: uniform profile" `Quick
@@ -372,7 +401,7 @@ let suite =
     Alcotest.test_case "hot/cold probe counters" `Quick test_probe_counters;
     Alcotest.test_case "heat profile canonicalisation" `Quick
       test_heat_canonical;
-    Alcotest.test_case "v3 save/load validation" `Quick test_save_load;
+    Alcotest.test_case "profiled save/load validation" `Quick test_save_load;
     Alcotest.test_case "cache round trip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache listing and eviction" `Quick
       test_cache_listing_and_eviction;
