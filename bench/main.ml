@@ -72,6 +72,20 @@ let bench_target =
 let section title = Fmt.pr "@.=== %s ===@." title
 let row fmt = Fmt.pr fmt
 
+(* examples/c as (path, source) in name order when run from the repo
+   root; empty elsewhere, and each section falls back to its own
+   built-in programs *)
+let example_sources () =
+  let dir = "examples/c" in
+  if Sys.file_exists dir && Sys.is_directory dir then
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let file = Filename.concat dir f in
+           (file, In_channel.with_open_bin file In_channel.input_all))
+  else []
+
 (* -- Bechamel helpers --------------------------------------------------------- *)
 
 open Bechamel
@@ -938,18 +952,9 @@ let bench_serve () =
   (* the request corpus: examples/c when run from the repo root, else
      the built-in fixed programs *)
   let sources =
-    let dir = "examples/c" in
-    if Sys.file_exists dir && Sys.is_directory dir then
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".c")
-      |> List.sort compare
-      |> List.map (fun f ->
-             let file = Filename.concat dir f in
-             let ic = open_in_bin file in
-             let s = really_input_string ic (in_channel_length ic) in
-             close_in ic;
-             (file, s))
-    else List.map (fun (n, s) -> (n ^ ".c", s)) Corpus.fixed_programs
+    match example_sources () with
+    | [] -> List.map (fun (n, s) -> (n ^ ".c", s)) Corpus.fixed_programs
+    | files -> files
   in
   let socket =
     Filename.concat
@@ -1369,18 +1374,13 @@ let bench_regalloc () =
   (* the judged corpus: examples/c when run from the repo root, else
      the built-in fixed programs *)
   let sources =
-    let dir = "examples/c" in
-    if Sys.file_exists dir && Sys.is_directory dir then
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".c")
-      |> List.sort compare
-      |> List.map (fun f ->
-             let file = Filename.concat dir f in
-             let ic = open_in_bin file in
-             let s = really_input_string ic (in_channel_length ic) in
-             close_in ic;
-             (Filename.remove_extension f, s))
-    else Corpus.fixed_programs
+    match example_sources () with
+    | [] -> Corpus.fixed_programs
+    | files ->
+      List.map
+        (fun (file, s) ->
+          (Filename.remove_extension (Filename.basename file), s))
+        files
   in
   let progs = List.map (fun (n, s) -> (n, Sema.compile s)) sources in
   let counter counters name =
@@ -1481,20 +1481,7 @@ let bench_specialize () =
   (* the parity corpus: examples/c when run from the repo root, plus the
      built-in fixed suite and a generated fuzz corpus — every program is
      compiled with and without specialization and byte-compared *)
-  let file_sources =
-    let dir = "examples/c" in
-    if Sys.file_exists dir && Sys.is_directory dir then
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".c")
-      |> List.sort compare
-      |> List.map (fun f ->
-             let file = Filename.concat dir f in
-             let ic = open_in_bin file in
-             let s = really_input_string ic (in_channel_length ic) in
-             close_in ic;
-             (file, s))
-    else []
-  in
+  let file_sources = example_sources () in
   let fuzz_seeds = if quick then 40 else 200 in
   let parity_progs =
     List.map

@@ -8,21 +8,12 @@ type token =
 
 exception Lex_error of int * string
 
-let keywords =
-  [
-    "char"; "short"; "int"; "long"; "unsigned"; "float"; "double"; "void";
-    "if"; "else"; "while"; "do"; "for"; "return"; "break"; "continue";
-    "register";
-  ]
-
-(* longest first so that the scan below can match greedily *)
-let puncts =
-  [
-    "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-=";
-    "*="; "/="; "%="; "&="; "|="; "^="; "<<"; ">>"; "+"; "-"; "*"; "/"; "%";
-    "&"; "|"; "^"; "~"; "!"; "<"; ">"; "="; "("; ")"; "{"; "}"; "["; "]";
-    ";"; ","; "?"; ":";
-  ]
+let is_keyword = function
+  | "char" | "short" | "int" | "long" | "unsigned" | "float" | "double"
+  | "void" | "if" | "else" | "while" | "do" | "for" | "return" | "break"
+  | "continue" | "register" ->
+    true
+  | _ -> false
 
 type t = {
   src : string;
@@ -64,6 +55,61 @@ let rec skip_ws t =
       done;
       skip_ws t
     | _ -> ()
+
+(* the character [k] places ahead, NUL past the end *)
+let ahead t k =
+  if t.pos + k < String.length t.src then t.src.[t.pos + k] else '\000'
+
+(* The longest operator or punctuator at the current position, and its
+   length, read in place.  The cases are tried in order, so each longer
+   form precedes its prefixes.  Every result is a constant: nothing is
+   allocated. *)
+let punct t =
+  match (ahead t 0, ahead t 1, ahead t 2) with
+  | '<', '<', '=' -> (3, PUNCT "<<=")
+  | '>', '>', '=' -> (3, PUNCT ">>=")
+  | '=', '=', _ -> (2, PUNCT "==")
+  | '!', '=', _ -> (2, PUNCT "!=")
+  | '<', '=', _ -> (2, PUNCT "<=")
+  | '>', '=', _ -> (2, PUNCT ">=")
+  | '&', '&', _ -> (2, PUNCT "&&")
+  | '|', '|', _ -> (2, PUNCT "||")
+  | '+', '+', _ -> (2, PUNCT "++")
+  | '-', '-', _ -> (2, PUNCT "--")
+  | '+', '=', _ -> (2, PUNCT "+=")
+  | '-', '=', _ -> (2, PUNCT "-=")
+  | '*', '=', _ -> (2, PUNCT "*=")
+  | '/', '=', _ -> (2, PUNCT "/=")
+  | '%', '=', _ -> (2, PUNCT "%=")
+  | '&', '=', _ -> (2, PUNCT "&=")
+  | '|', '=', _ -> (2, PUNCT "|=")
+  | '^', '=', _ -> (2, PUNCT "^=")
+  | '<', '<', _ -> (2, PUNCT "<<")
+  | '>', '>', _ -> (2, PUNCT ">>")
+  | '+', _, _ -> (1, PUNCT "+")
+  | '-', _, _ -> (1, PUNCT "-")
+  | '*', _, _ -> (1, PUNCT "*")
+  | '/', _, _ -> (1, PUNCT "/")
+  | '%', _, _ -> (1, PUNCT "%")
+  | '&', _, _ -> (1, PUNCT "&")
+  | '|', _, _ -> (1, PUNCT "|")
+  | '^', _, _ -> (1, PUNCT "^")
+  | '~', _, _ -> (1, PUNCT "~")
+  | '!', _, _ -> (1, PUNCT "!")
+  | '<', _, _ -> (1, PUNCT "<")
+  | '>', _, _ -> (1, PUNCT ">")
+  | '=', _, _ -> (1, PUNCT "=")
+  | '(', _, _ -> (1, PUNCT "(")
+  | ')', _, _ -> (1, PUNCT ")")
+  | '{', _, _ -> (1, PUNCT "{")
+  | '}', _, _ -> (1, PUNCT "}")
+  | '[', _, _ -> (1, PUNCT "[")
+  | ']', _, _ -> (1, PUNCT "]")
+  | ';', _, _ -> (1, PUNCT ";")
+  | ',', _, _ -> (1, PUNCT ",")
+  | '?', _, _ -> (1, PUNCT "?")
+  | ':', _, _ -> (1, PUNCT ":")
+  | c, _, _ -> error t "unexpected character %c" c
 
 let scan t =
   skip_ws t;
@@ -114,21 +160,12 @@ let scan t =
         t.pos <- t.pos + 1
       done;
       let word = String.sub t.src start (t.pos - start) in
-      if List.mem word keywords then KW word else IDENT word
+      if is_keyword word then KW word else IDENT word
     end
-    else begin
-      match
-        List.find_opt
-          (fun p ->
-            let n = String.length p in
-            t.pos + n <= String.length t.src && String.sub t.src t.pos n = p)
-          puncts
-      with
-      | Some p ->
-        t.pos <- t.pos + String.length p;
-        PUNCT p
-      | None -> error t "unexpected character %c" c
-    end
+    else
+      let len, tok = punct t in
+      t.pos <- t.pos + len;
+      tok
 
 let create src =
   let t = { src; pos = 0; line = 1; tok = EOF; tok_line = 1 } in

@@ -5,20 +5,28 @@ exception Parse_error of int * string
 let error lx fmt =
   Fmt.kstr (fun s -> raise (Parse_error (Lexer.line lx, s))) fmt
 
-let expect lx (tok : Lexer.token) =
+(* token tests by string equality: no polymorphic compare on the hot
+   path *)
+let at_punct lx p =
+  match Lexer.peek lx with Lexer.PUNCT q -> String.equal p q | _ -> false
+
+let at_kw lx k =
+  match Lexer.peek lx with Lexer.KW q -> String.equal k q | _ -> false
+
+let expect_punct lx p =
   let line = Lexer.line lx in
   let got = Lexer.next lx in
-  if got <> tok then
+  match got with
+  | Lexer.PUNCT q when String.equal p q -> ()
+  | _ ->
     raise
       (Parse_error
          ( line,
-           Fmt.str "expected %a but found %a" Lexer.pp_token tok Lexer.pp_token
-             got ))
-
-let expect_punct lx p = expect lx (Lexer.PUNCT p)
+           Fmt.str "expected %a but found %a" Lexer.pp_token (Lexer.PUNCT p)
+             Lexer.pp_token got ))
 
 let accept_punct lx p =
-  if Lexer.peek lx = Lexer.PUNCT p then begin
+  if at_punct lx p then begin
     ignore (Lexer.next lx);
     true
   end
@@ -55,9 +63,11 @@ let parse_base_type_storage lx =
     | _ -> List.rev acc
   in
   let ws = words [] in
-  let storage = if List.mem "register" ws then Register else Auto in
+  let storage =
+    if List.exists (String.equal "register") ws then Register else Auto
+  in
   let ty =
-    match List.filter (fun w -> w <> "register") ws with
+    match List.filter (fun w -> not (String.equal w "register")) ws with
   | [ "char" ] -> Tchar
   | [ "short" ] | [ "short"; "int" ] -> Tshort
   | [ "int" ] | [ "long" ] | [ "long"; "int" ] -> Tint
@@ -89,17 +99,18 @@ let parse_declarator lx base =
 
 (* -- expressions ------------------------------------------------------------ *)
 
-let binop_of_punct = function
-  | "+" -> Some Badd
-  | "-" -> Some Bsub
-  | "*" -> Some Bmul
-  | "/" -> Some Bdiv
-  | "%" -> Some Bmod
-  | "&" -> Some Band
-  | "|" -> Some Bor
-  | "^" -> Some Bxor
-  | "<<" -> Some Bshl
-  | ">>" -> Some Bshr
+(* the operator of a compound assignment token *)
+let opassign_of_punct = function
+  | "+=" -> Some Badd
+  | "-=" -> Some Bsub
+  | "*=" -> Some Bmul
+  | "/=" -> Some Bdiv
+  | "%=" -> Some Bmod
+  | "&=" -> Some Band
+  | "|=" -> Some Bor
+  | "^=" -> Some Bxor
+  | "<<=" -> Some Bshl
+  | ">>=" -> Some Bshr
   | _ -> None
 
 let rec parse_expr_top lx = parse_assignment lx
@@ -110,13 +121,12 @@ and parse_assignment lx =
   | Lexer.PUNCT "=" ->
     ignore (Lexer.next lx);
     Eassign (lhs, parse_assignment lx)
-  | Lexer.PUNCT p
-    when String.length p >= 2
-         && p.[String.length p - 1] = '='
-         && binop_of_punct (String.sub p 0 (String.length p - 1)) <> None ->
-    ignore (Lexer.next lx);
-    let op = Option.get (binop_of_punct (String.sub p 0 (String.length p - 1))) in
-    Eopassign (op, lhs, parse_assignment lx)
+  | Lexer.PUNCT p -> (
+    match opassign_of_punct p with
+    | Some op ->
+      ignore (Lexer.next lx);
+      Eopassign (op, lhs, parse_assignment lx)
+    | None -> lhs)
   | _ -> lhs
 
 and parse_cond lx =
@@ -287,7 +297,7 @@ and parse_primary lx =
   | Lexer.IDENT name ->
     if accept_punct lx "(" then begin
       let args =
-        if Lexer.peek lx = Lexer.PUNCT ")" then []
+        if at_punct lx ")" then []
         else
           let rec go acc =
             let e = parse_assignment lx in
@@ -342,7 +352,7 @@ and parse_stmt_unmarked lx locals : stmt list =
     expect_punct lx ")";
     let then_ = parse_stmt lx locals in
     let else_ =
-      if Lexer.peek lx = Lexer.KW "else" then begin
+      if at_kw lx "else" then begin
         ignore (Lexer.next lx);
         parse_stmt lx locals
       end
@@ -370,22 +380,22 @@ and parse_stmt_unmarked lx locals : stmt list =
     ignore (Lexer.next lx);
     expect_punct lx "(";
     let init =
-      if Lexer.peek lx = Lexer.PUNCT ";" then None else Some (parse_expr_top lx)
+      if at_punct lx ";" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ";";
     let cond =
-      if Lexer.peek lx = Lexer.PUNCT ";" then None else Some (parse_expr_top lx)
+      if at_punct lx ";" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ";";
     let step =
-      if Lexer.peek lx = Lexer.PUNCT ")" then None else Some (parse_expr_top lx)
+      if at_punct lx ")" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ")";
     [ Sfor (init, cond, step, parse_stmt lx locals) ]
   | Lexer.KW "return" ->
     ignore (Lexer.next lx);
     let e =
-      if Lexer.peek lx = Lexer.PUNCT ";" then None else Some (parse_expr_top lx)
+      if at_punct lx ";" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ";";
     [ Sreturn e ]
@@ -444,10 +454,10 @@ let parse_program src =
     | _ ->
       let base = parse_base_type lx in
       let name, ty = parse_declarator lx base in
-      if Lexer.peek lx = Lexer.PUNCT "(" then begin
+      if at_punct lx "(" then begin
         ignore (Lexer.next lx);
         let params =
-          if Lexer.peek lx = Lexer.PUNCT ")" then []
+          if at_punct lx ")" then []
           else
             let rec go acc =
               let pbase = parse_base_type lx in

@@ -9,13 +9,18 @@ type t = {
 let scan_func (f : Tree.func) =
   let max_label = ref 0 in
   let max_temp = ref (-1) in
+  (* first-seen order and type: [temp_types] lays out the frame by it *)
   let temps = ref [] in
+  let seen = Hashtbl.create 16 in
   let scan_tree t =
     Tree.fold
       (fun () node ->
         match node with
         | Tree.Temp (ty, i) ->
-          if not (List.mem_assoc i !temps) then temps := (i, ty) :: !temps;
+          if not (Hashtbl.mem seen i) then begin
+            Hashtbl.add seen i ();
+            temps := (i, ty) :: !temps
+          end;
           if i > !max_temp then max_temp := i
         | Tree.Cbranch (_, _, _, _, _, l) ->
           if l > !max_label then max_label := l

@@ -17,7 +17,12 @@ open Import
       the selector never runs out of registers mid-expression.
 
     [stats] counts how many operators were actually swapped, the
-    paper's "<1% of expressions" measurement. *)
+    paper's "<1% of expressions" measurement.
+
+    Each subtree's size and register need are computed once, bottom-up,
+    so the phase is linear in the size of the tree.  The spill guard
+    replaces the first top-down subtree structurally equal to the one it
+    extracted. *)
 
 type stats = {
   mutable swapped_commutative : int;

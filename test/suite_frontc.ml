@@ -26,6 +26,30 @@ let test_lexer_tokens () =
     ()
   | ts -> Alcotest.failf "unexpected tokens: %a" Fmt.(list ~sep:sp Lexer.pp_token) ts
 
+let lex src =
+  let lx = Lexer.create src in
+  let rec drain acc =
+    match Lexer.next lx with Lexer.EOF -> List.rev acc | t -> drain (t :: acc)
+  in
+  drain []
+
+let tokens = Alcotest.testable Lexer.pp_token ( = )
+
+let all_puncts =
+  [
+    "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-=";
+    "*="; "/="; "%="; "&="; "|="; "^="; "<<"; ">>"; "+"; "-"; "*"; "/"; "%";
+    "&"; "|"; "^"; "~"; "!"; "<"; ">"; "="; "("; ")"; "{"; "}"; "["; "]";
+    ";"; ","; "?"; ":";
+  ]
+
+let all_keywords =
+  [
+    "char"; "short"; "int"; "long"; "unsigned"; "float"; "double"; "void";
+    "if"; "else"; "while"; "do"; "for"; "return"; "break"; "continue";
+    "register";
+  ]
+
 let test_lexer_longest_match () =
   let lx = Lexer.create "a <<= b << c <= d" in
   let rec puncts acc =
@@ -34,10 +58,31 @@ let test_lexer_longest_match () =
     | Lexer.PUNCT p -> puncts (p :: acc)
     | _ -> puncts acc
   in
-  Alcotest.(check (list string)) "operators" [ "<<="; "<<"; "<=" ] (puncts [])
+  Alcotest.(check (list string)) "operators" [ "<<="; "<<"; "<=" ] (puncts []);
+  let id s = Lexer.IDENT s and p s = Lexer.PUNCT s in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (list tokens)) src expected (lex src))
+    [
+      ("a<<=b", [ id "a"; p "<<="; id "b" ]);
+      ("a>>=b", [ id "a"; p ">>="; id "b" ]);
+      ("a+++b", [ id "a"; p "++"; p "+"; id "b" ]);
+      ("a---b", [ id "a"; p "--"; p "-"; id "b" ]);
+      ("a&&&b", [ id "a"; p "&&"; p "&"; id "b" ]);
+      ("a|||b", [ id "a"; p "||"; p "|"; id "b" ]);
+      ("a<<<b", [ id "a"; p "<<"; p "<"; id "b" ]);
+      ("a===b", [ id "a"; p "=="; p "="; id "b" ]);
+      ("a!==b", [ id "a"; p "!="; p "="; id "b" ]);
+      ("a=!b", [ id "a"; p "="; p "!"; id "b" ]);
+      ("a=-1", [ id "a"; p "="; p "-"; Lexer.INT 1L ]);
+      ("x[i]+=*p;", [ id "x"; p "["; id "i"; p "]"; p "+="; p "*"; id "p"; p ";" ]);
+      ("a/ /*c*/b", [ id "a"; p "/"; id "b" ]);
+      ("a</", [ id "a"; p "<"; p "/" ]);
+      ("<", [ p "<" ]);
+    ]
 
 let test_lexer_error () =
-  match Lexer.create "int @" with
+  (match Lexer.create "int @" with
   | exception Lexer.Lex_error (1, _) -> ()
   | lx -> (
     match Lexer.next lx with
@@ -45,7 +90,36 @@ let test_lexer_error () =
     | _ -> (
       match Lexer.next lx with
       | exception Lexer.Lex_error (1, _) -> ()
-      | _ -> Alcotest.fail "@ accepted"))
+      | _ -> Alcotest.fail "@ accepted")));
+  List.iter
+    (fun (src, expected) ->
+      match lex src with
+      | exception Lexer.Lex_error (line, msg) ->
+        Alcotest.(check (pair int string)) src expected (line, msg)
+      | ts ->
+        Alcotest.failf "%S lexed as %a" src Fmt.(list ~sep:sp Lexer.pp_token) ts)
+    [
+      ("int @", (1, "unexpected character @"));
+      ("a\n\nb $ c", (3, "unexpected character $"));
+      ("a # b", (1, "unexpected character #"));
+      ("x /* never\nclosed", (2, "unterminated comment"));
+      ("0x", (1, "bad hex literal"));
+      ("a\n0xg", (2, "bad hex literal"));
+    ]
+
+let test_lexer_every_token () =
+  Alcotest.(check (list tokens))
+    "every punctuator, space-separated"
+    (List.map (fun p -> Lexer.PUNCT p) all_puncts)
+    (lex (String.concat " " all_puncts));
+  Alcotest.(check (list tokens))
+    "every keyword"
+    (List.map (fun k -> Lexer.KW k) all_keywords)
+    (lex (String.concat "\n" all_keywords));
+  Alcotest.(check (list tokens))
+    "keyword prefixes and extensions are identifiers"
+    [ Lexer.IDENT "in"; Lexer.IDENT "integer"; Lexer.IDENT "if_"; Lexer.IDENT "Int" ]
+    (lex "in integer if_ Int")
 
 (* -- parser ----------------------------------------------------------------- *)
 
@@ -294,12 +368,13 @@ int main() {
   int x;
   x = 10;
   x += 5; x -= 3; x *= 2; x /= 4; x %= 4; x <<= 3; x |= 1; x ^= 2; x &= 30;
+  x >>= 1;
   return x;
 }
 |}
   in
-  (* 10+5=15-3=12*2=24/4=6%4=2<<3=16|1=17^2=19&30=18 *)
-  Alcotest.check value "compound ops" (Interp.VInt 18L) out.Interp.return_value
+  (* 10+5=15-3=12*2=24/4=6%4=2<<3=16|1=17^2=19&30=18>>1=9 *)
+  Alcotest.check value "compound ops" (Interp.VInt 9L) out.Interp.return_value
 
 let test_exec_args () =
   let out =
@@ -371,6 +446,7 @@ let suite =
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer longest match" `Quick test_lexer_longest_match;
     Alcotest.test_case "lexer error" `Quick test_lexer_error;
+    Alcotest.test_case "lexer every token" `Quick test_lexer_every_token;
     Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
     Alcotest.test_case "assignment right-assoc" `Quick
       test_parser_assoc_right_assign;

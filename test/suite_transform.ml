@@ -380,6 +380,236 @@ let test_1c_spill_guard_splits () =
       | _ -> ())
     out
 
+(* -- Phase 1c: parity with the quadratic oracle, and linear growth -------- *)
+
+let ops = [| Op.Plus; Op.Minus; Op.Mul; Op.And; Op.Or; Op.Xor |]
+
+let leaf rs =
+  match Random.State.int rs 6 with
+  | 0 -> lconst (Int64.of_int (Random.State.int rs 10))
+  | k -> name [| "a"; "b"; "x"; "y"; "g" |].(k - 1)
+
+let binop rs a b =
+  T.Binop (ops.(Random.State.int rs (Array.length ops)), Dtype.Long, a, b)
+
+(* [depth] operators, each with a leaf on a random side *)
+let chain ~seed depth =
+  let rs = Random.State.make [| seed |] in
+  let rec go d acc =
+    if d = 0 then acc
+    else
+      let l = leaf rs in
+      go (d - 1) (if Random.State.bool rs then binop rs acc l else binop rs l acc)
+  in
+  go depth (leaf rs)
+
+(* a right spine whose every rung is a small computation, so ordering
+   swaps (or reverses) the operands at every level *)
+let ladder ~seed depth =
+  let rs = Random.State.make [| seed |] in
+  let rec go d acc =
+    if d = 0 then acc
+    else
+      let rung = binop rs (leaf rs) (leaf rs) in
+      go (d - 1) (binop rs rung acc)
+  in
+  go depth (leaf rs)
+
+(* a left spine of balanced depth-6 blocks: each block needs six
+   registers, so the spill guard extracts at least one temporary per
+   block *)
+let spill_chain ~seed blocks =
+  let rs = Random.State.make [| seed |] in
+  let rec block d = if d = 0 then leaf rs else binop rs (block (d - 1)) (block (d - 1)) in
+  let rec go k acc = if k = 0 then acc else go (k - 1) (binop rs acc (block 6)) in
+  go (blocks - 1) (block 6)
+
+let assign_x t = T.Stree (T.Assign (Dtype.Long, name "x", t))
+
+(* the production Phase 1c and the oracle on the same body; returns
+   what differs, if anything *)
+let phase1c_mismatch ~reverse_ops ~leaf_need ~spill_limit body =
+  let go run =
+    let ctx = Context.create (func_of body) in
+    let stats = Phase1c.fresh_stats () in
+    let out = run ~stats ctx in
+    (out, stats, Context.temp_types ctx)
+  in
+  let out, stats, temps =
+    go (fun ~stats ctx ->
+        Phase1c.run ~reverse_ops ~spill_limit ~leaf_need ~stats ctx body)
+  in
+  let out', stats', temps' =
+    go (fun ~stats ctx ->
+        Reference_phase1c.run ~reverse_ops ~spill_limit ~leaf_need ~stats ctx
+          body)
+  in
+  let stmt_equal a b =
+    match (a, b) with T.Stree x, T.Stree y -> T.equal x y | _ -> a = b
+  in
+  if not (List.length out = List.length out' && List.for_all2 stmt_equal out out')
+  then Some "statements differ"
+  else if stats <> stats' then Some "stats differ"
+  else if temps <> temps' then Some "temps differ"
+  else None
+
+let check_phase1c_parity ?(weights = [ (0, [ 0; 1; 2; 3; 5 ]); (1, [ 2; 3; 5 ]) ])
+    label body =
+  List.iter
+    (fun (leaf_need, limits) ->
+      List.iter
+        (fun spill_limit ->
+          List.iter
+            (fun reverse_ops ->
+              match phase1c_mismatch ~reverse_ops ~leaf_need ~spill_limit body with
+              | None -> ()
+              | Some what ->
+                Alcotest.failf "%s: %s (leaf_need %d, limit %d, reverse_ops %b)"
+                  label what leaf_need spill_limit reverse_ops)
+            [ true; false ])
+        limits)
+    weights
+
+let test_1c_parity_shapes () =
+  List.iter
+    (fun seed ->
+      check_phase1c_parity "chain" [ assign_x (chain ~seed 300) ];
+      check_phase1c_parity "ladder" [ assign_x (ladder ~seed 200) ];
+      check_phase1c_parity "spill chain" [ assign_x (spill_chain ~seed 12) ];
+      check_phase1c_parity "mixed"
+        [
+          assign_x (spill_chain ~seed 3);
+          T.Stree (T.Assign (Dtype.Long, name "y", ladder ~seed 20));
+          assign_x (chain ~seed 40);
+        ])
+    [ 1; 2; 3 ]
+
+(* The spill guard replaces the first top-down subtree structurally equal
+   to the one it extracted, which is not always the extracted one: an
+   [Addr] or a short-circuit node needs a fixed number of registers
+   whatever it contains, so a lighter earlier operand can hold a copy of
+   a heavier later one.  Phase 1 never leaves such nodes around a
+   computation, but the rule holds for any tree. *)
+let test_1c_parity_first_equal_occurrence () =
+  let rec heavy d =
+    if d = 0 then name "a"
+    else T.Binop (Op.Plus, Dtype.Long, heavy (d - 1), heavy (d - 1))
+  in
+  let plus a b = T.Binop (Op.Plus, Dtype.Long, a, b) in
+  let weights = [ (0, [ 2; 3; 5 ]) ] in
+  check_phase1c_parity ~weights "copy under Addr"
+    [ assign_x (plus (T.Addr (T.Indir (Dtype.Long, heavy 6))) (heavy 6)) ];
+  check_phase1c_parity ~weights "copy under Land"
+    [ assign_x (plus (T.Land (heavy 7, name "y")) (heavy 7)) ];
+  check_phase1c_parity ~weights "copy in the destination"
+    [
+      T.Stree
+        (T.Assign
+           ( Dtype.Long,
+             T.Indir (Dtype.Long, T.Addr (T.Indir (Dtype.Long, heavy 6))),
+             heavy 6 ));
+    ]
+
+(* random typed programs, both as generated and after Phases 1a and 1b,
+   the form Phase 1c really sees.  The generated form keeps calls and
+   short-circuit and selection nodes, whose need is a constant: under
+   the load/store weighting ([leaf_need] 1) the spill guard, the
+   oracle's included, would extract temporaries from them forever, so
+   that form is checked under the VAX weighting only *)
+let test_1c_parity_treegen =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"1c matches the oracle on Treegen trees"
+       ~count:60
+       QCheck.(pair small_nat bool)
+       (fun (seed, control) ->
+         let cfg = { Treegen.default_config with Treegen.depth = 7 } in
+         let p =
+           if control then Treegen.control_program ~seed cfg
+           else Treegen.program ~seed ~stmts:12
+         in
+         List.iter
+           (fun (f : T.func) ->
+             let raw = f.T.body in
+             let ctx = Context.create f in
+             let lowered = Phase1b.run (Phase1a.run ctx raw) in
+             List.iter
+               (fun spill_limit ->
+                 List.iter
+                   (fun reverse_ops ->
+                     let check leaf_need body =
+                       match
+                         phase1c_mismatch ~reverse_ops ~leaf_need ~spill_limit
+                           body
+                       with
+                       | None -> ()
+                       | Some what ->
+                         QCheck.Test.fail_reportf
+                           "seed %d: %s (leaf_need %d, limit %d, reverse_ops %b)"
+                           seed what leaf_need spill_limit reverse_ops
+                     in
+                     check 0 raw;
+                     check 0 lowered;
+                     check 1 lowered)
+                   [ true; false ])
+               [ 2; 3; 5 ])
+           p.T.funcs;
+         true))
+
+let phase1 t = ignore (Transform.run (func_of [ assign_x t ]))
+
+(* Phase 1 time at size n and 2n, interleaved, the fastest of seven
+   samples each: the minimum discards samples slowed by other work, and
+   interleaving gives both sizes the same share of any change in the
+   host's speed.  A sample is [reps] back-to-back runs, so that it lasts
+   milliseconds rather than fractions of one.  The minor heap is made
+   large enough (64 MB) that no minor collection falls inside a sample;
+   otherwise the ratio would jump by a one-off step wherever the larger
+   input's allocation first overflows the default minor heap (chain
+   depth 4000 sits right at that edge), which is not growth. *)
+let growth_ratio ~reps make n =
+  let small = make n and large = make (2 * n) in
+  let time t =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      phase1 t
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 8 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  let best_small = ref infinity and best_large = ref infinity in
+  for _ = 1 to 7 do
+    best_small := Float.min !best_small (time small);
+    best_large := Float.min !best_large (time large)
+  done;
+  !best_large /. !best_small
+
+let check_linear ~reps label make n =
+  let r = growth_ratio ~reps make n in
+  if r > 2.5 then
+    Alcotest.failf "%s: Phase 1 time(2n)/time(n) = %.2f, above 2.5" label r
+
+let test_1c_linear_chain () =
+  check_linear ~reps:5 "chain" (chain ~seed:7) 4000
+
+(* a ladder level has four nodes to a chain level's two: depth 2000
+   gives the chain's node count *)
+let test_1c_linear_ladder () =
+  check_linear ~reps:5 "ladder" (ladder ~seed:7) 2000
+
+let test_1c_linear_spill_chain () =
+  check_linear ~reps:1 "spill chain" (spill_chain ~seed:7) 500
+
+let test_1c_very_deep_chain () =
+  let s = assign_x (chain ~seed:5 100_000) in
+  let tr = Transform.run (func_of [ s ]) in
+  match (tr.Transform.func.T.body, Phase1b.run [ s ]) with
+  | [ T.Stree t ], [ T.Stree t1b ] ->
+    check_int "every node kept" (T.size t1b) (T.size t)
+  | body, _ -> Alcotest.failf "expected one statement, got %d" (List.length body)
+
 let suite =
   [
     Alcotest.test_case "1a extracts embedded calls" `Quick
@@ -419,4 +649,15 @@ let suite =
     Alcotest.test_case "1c register need" `Quick test_1c_register_need;
     Alcotest.test_case "1c spill guard splits" `Quick
       test_1c_spill_guard_splits;
+    Alcotest.test_case "1c matches the oracle on deep shapes" `Quick
+      test_1c_parity_shapes;
+    Alcotest.test_case "1c replaces the first equal occurrence" `Quick
+      test_1c_parity_first_equal_occurrence;
+    test_1c_parity_treegen;
+    Alcotest.test_case "phase 1 linear: chain" `Quick test_1c_linear_chain;
+    Alcotest.test_case "phase 1 linear: ladder" `Quick test_1c_linear_ladder;
+    Alcotest.test_case "phase 1 linear: spill chain" `Quick
+      test_1c_linear_spill_chain;
+    Alcotest.test_case "phase 1 on a depth-100000 chain" `Quick
+      test_1c_very_deep_chain;
   ]
