@@ -11,7 +11,7 @@ module Tables = Gg_tablegen.Tables
 module Naive = Gg_tablegen.Naive
 module Lr0 = Gg_tablegen.Lr0
 module Packed = Gg_tablegen.Packed
-module Profile = Gg_profile.Profile
+module Telemetry = Gg_profile.Telemetry
 module Matcher = Gg_matcher.Matcher
 module Transform = Gg_transform.Transform
 module Phase1c = Gg_transform.Phase1c
@@ -29,10 +29,17 @@ module Server = Gg_server.Server
 module Protocol = Gg_server.Protocol
 module Client = Gg_server.Client
 module Slog = Gg_server.Slog
-module Metrics = Gg_profile.Metrics
 module Parallel = Gg_codegen.Parallel
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
+
+(* [measured l f]: [f] on a cleared registry, at level [l] or the
+   higher level a global --trace-out / --metrics-out armed *)
+let measured l f =
+  Telemetry.with_level (if Telemetry.at_least l then Telemetry.level () else l)
+  @@ fun () ->
+  Telemetry.reset ();
+  f ()
 
 (* non-flag arguments select sections by key (e.g. `main.exe throughput`);
    no arguments runs everything *)
@@ -392,33 +399,29 @@ let bench_phase_profile () =
   | _ -> row "measurement failed@.");
   (* the same claim from the standing gg_profile instrumentation (what
      ggcc -profile prints), one instrumented corpus compile *)
-  let was = !Profile.enabled in
-  let was_m = !Gg_profile.Metrics.enabled in
-  Profile.enabled := true;
-  Profile.reset ();
-  Gg_profile.Metrics.enabled := true;
-  Gg_profile.Metrics.reset ();
-  ignore (Driver.compile_program ~tables prog);
-  let t_transform = Profile.seconds "phase1.transform" in
-  let t_match = Profile.seconds "phase2.match" in
+  let snap =
+    measured Telemetry.Timers (fun () ->
+        ignore (Driver.compile_program ~tables prog);
+        Telemetry.snapshot ())
+  in
+  let seconds name =
+    List.fold_left
+      (fun acc (n, s, _) -> if n = name then s else acc)
+      0. snap.Telemetry.phases
+  in
+  let t_transform = seconds "phase1.transform" in
+  let t_match = seconds "phase2.match" in
   row
     "instrumented (-profile): transform %.2f ms, match+emit %.2f ms -> \
      matching %.0f%% of the two phases@."
     (t_transform *. 1e3) (t_match *. 1e3)
     (100. *. t_match /. max 1e-9 (t_transform +. t_match));
-  let c = Profile.totals () in
+  let c = snap.Telemetry.totals in
   row "  matcher counters: %d runs, %d shifts, %d reduces, %d semantic ties@."
-    c.Profile.matcher_runs c.Profile.shifts c.Profile.reduces
-    c.Profile.semantic_choices;
+    c.Telemetry.matcher_runs c.Telemetry.shifts c.Telemetry.reduces
+    c.Telemetry.semantic_choices;
   (* where that matching time goes: the distribution over trees *)
-  row "%a" Gg_profile.Metrics.report ();
-  (* keep accumulating when a global --metrics-out sidecar was asked for *)
-  if metrics_out = None then begin
-    Gg_profile.Metrics.enabled := was_m;
-    Gg_profile.Metrics.reset ()
-  end;
-  Profile.enabled := was;
-  Profile.reset ()
+  row "%a" Telemetry.pp_metrics snap
 
 (* ============================================================================ *)
 (* T-TIME: code generation speed, GG vs PCC (section 8)                         *)
@@ -1025,9 +1028,9 @@ let bench_serve () =
      load — entirely to the second configuration; alternating passes
      spreads drift across both, and the overhead is computed from the
      paired TOTALS (sum of wall times), which averages noise that a
-     best-of or single-pass comparison amplifies.  Metrics.enabled is
-     global, so it is flipped around each pass: off for the plain
-     server, on for the observed one. *)
+     best-of or single-pass comparison amplifies.  The telemetry level
+     is global, so it is set around each pass: off for the plain
+     server, the daemon's own level (timers) for the observed one. *)
   let obs_socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -1044,18 +1047,10 @@ let bench_serve () =
       flight_capacity = 64;
     }
   in
-  let was_metrics = !Metrics.enabled in
-  let plain_pass () =
-    Metrics.enabled := false;
-    closed_loop socket
-  in
-  let obs_server =
-    Metrics.enabled := true;
-    Server.start ~config:obs_config ~tables:(fun _ -> tables) ()
-  in
+  let plain_pass () = Telemetry.with_level Off (fun () -> closed_loop socket) in
+  let obs_server = Server.start ~config:obs_config ~tables:(fun _ -> tables) () in
   let obs_pass () =
-    Metrics.enabled := true;
-    closed_loop obs_socket
+    Telemetry.with_level Timers (fun () -> closed_loop obs_socket)
   in
   let best passes =
     List.fold_left
@@ -1066,7 +1061,6 @@ let bench_serve () =
   let plain_passes, obs_passes =
     Fun.protect ~finally:(fun () ->
         Server.stop obs_server;
-        Metrics.enabled := was_metrics;
         close_out obs_log_oc;
         Sys.remove obs_log)
     @@ fun () ->
@@ -1392,21 +1386,18 @@ let bench_regalloc () =
   let measure target regalloc =
     let tables = Targets.default_tables target in
     let options = { Driver.default_options with Driver.regalloc } in
-    let was_enabled = !Gg_profile.Metrics.enabled in
-    Gg_profile.Metrics.enabled := true;
-    Gg_profile.Metrics.reset ();
-    let t0 = Unix.gettimeofday () in
-    let outs =
-      List.map
-        (fun (n, p) -> (n, Driver.compile_program ~options ~tables p))
-        progs
+    let outs, compile_s, counters =
+      measured Counters (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let outs =
+            List.map
+              (fun (n, p) -> (n, Driver.compile_program ~options ~tables p))
+              progs
+          in
+          (outs, Unix.gettimeofday () -. t0, (Telemetry.snapshot ()).named))
     in
-    let compile_s = Unix.gettimeofday () -. t0 in
-    let counters = Gg_profile.Metrics.named_counters () in
     let spills = counter counters "codegen.spills_total" in
     let reloads = counter counters "codegen.reloads_total" in
-    Gg_profile.Metrics.reset ();
-    Gg_profile.Metrics.enabled := was_enabled;
     let per_prog =
       List.map2
         (fun (n, p) (_, out) ->
@@ -1574,19 +1565,16 @@ let bench_specialize () =
           | _ -> (nan, nan, nan)
         in
         (* the measured hot/cold probe split on the training corpus *)
-        let metrics_were = !Metrics.enabled in
-        Metrics.enabled := true;
-        Metrics.reset ();
-        List.iter
-          (fun toks -> ignore (Matcher.run_engine spec_engine null_cb toks))
-          token_lists;
-        let counter n =
-          Option.value ~default:0 (List.assoc_opt n (Metrics.named_counters ()))
+        let named =
+          measured Counters (fun () ->
+              List.iter
+                (fun toks -> ignore (Matcher.run_engine spec_engine null_cb toks))
+                token_lists;
+              (Telemetry.snapshot ()).named)
         in
+        let counter n = Option.value ~default:0 (List.assoc_opt n named) in
         let hot_probes = counter "matcher.probe_hits_hot" in
         let cold_probes = counter "matcher.probe_hits_cold" in
-        Metrics.reset ();
-        Metrics.enabled := metrics_were;
         let pst = Packed.stats packed in
         let sst = Packed.stats spec in
         row "[%s]@." name;
@@ -1654,16 +1642,6 @@ let bench_specialize () =
 let () =
   Fmt.pr "Table-driven code generation: benchmark harness%s@."
     (if quick then " (quick mode)" else "");
-  if trace_out <> None then begin
-    Profile.enabled := true;
-    Gg_profile.Trace.enabled := true;
-    Gg_profile.Trace.reset ()
-  end;
-  if metrics_out <> None then begin
-    Profile.enabled := true;
-    Gg_profile.Metrics.enabled := true;
-    Gg_profile.Metrics.reset ()
-  end;
   let sections =
     [
       ("grammar", bench_grammar_stats);
@@ -1695,15 +1673,8 @@ let () =
       Fmt.(list ~sep:comma string)
       (List.map fst sections);
     exit 2);
-  List.iter (fun (key, f) -> if want key then f ()) sections;
-  Option.iter
-    (fun path ->
-      Gg_profile.Trace.write path;
-      Fmt.pr "trace written: %s@." path)
-    trace_out;
-  Option.iter
-    (fun path ->
-      Gg_profile.Metrics.write_json path;
-      Fmt.pr "metrics written: %s@." path)
-    metrics_out;
+  Telemetry.with_outputs ?metrics_out ?trace_out (fun () ->
+      List.iter (fun (key, f) -> if want key then f ()) sections);
+  Option.iter (Fmt.pr "trace written: %s@.") trace_out;
+  Option.iter (Fmt.pr "metrics written: %s@.") metrics_out;
   Fmt.pr "@.done.@."

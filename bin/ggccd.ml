@@ -19,9 +19,7 @@ module Server = Gg_server.Server
 module Admin = Gg_server.Admin
 module Slog = Gg_server.Slog
 module Protocol = Gg_server.Protocol
-module Profile = Gg_profile.Profile
-module Metrics = Gg_profile.Metrics
-module Trace = Gg_profile.Trace
+module Telemetry = Gg_profile.Telemetry
 
 let shutdown = Atomic.make false
 
@@ -86,9 +84,7 @@ let run socket admin_socket workers queue_capacity read_timeout log_path
   install_signals ();
   (* the serving instruments are always armed: a daemon exists to be
      observed, and the hot-loop cost is the gated one-load-and-branch *)
-  Profile.enabled := true;
-  Metrics.enabled := true;
-  if trace_out <> None then Trace.enabled := true;
+  Telemetry.set_level (if trace_out <> None then Telemetry.Trace else Telemetry.Timers);
   (* Per-target tables, resolved on first request for that target and
      kept warm for the daemon's lifetime.  The mutex makes resolution
      safe from any worker domain (and keeps a shared lazy from being
@@ -189,7 +185,7 @@ let run socket admin_socket workers queue_capacity read_timeout log_path
   let snapshot () =
     Option.iter
       (fun path ->
-        try Metrics.write_json_atomic path
+        try Telemetry.write_metrics path
         with Sys_error m ->
           Slog.warn logger ~event:"snapshot.failed"
             [ Slog.str "path" path; Slog.str "error" m ])
@@ -218,8 +214,8 @@ let run socket admin_socket workers queue_capacity read_timeout log_path
   Slog.info logger ~event:"shutdown" [];
   Option.iter Admin.stop admin;
   Server.stop server;
-  Option.iter (fun path -> Metrics.write_json_atomic path) metrics_out;
-  Option.iter Trace.write trace_out;
+  Option.iter Telemetry.write_metrics metrics_out;
+  Option.iter Telemetry.write_trace trace_out;
   Option.iter (fun (_, oc) -> close_out oc) log_sink;
   exit 0
 

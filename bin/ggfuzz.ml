@@ -183,33 +183,15 @@ let metrics_out_arg =
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:"Write the metric registry as JSON to $(docv).")
 
-let with_telemetry ~profile ~trace_out ~metrics ~metrics_out f =
-  if profile || metrics || trace_out <> None || metrics_out <> None then begin
-    Gg_profile.Profile.enabled := true;
-    Gg_profile.Profile.reset ()
-  end;
-  if trace_out <> None then begin
-    Gg_profile.Trace.enabled := true;
-    Gg_profile.Trace.reset ()
-  end;
-  if metrics || metrics_out <> None then begin
-    Gg_profile.Metrics.enabled := true;
-    Gg_profile.Metrics.reset ()
-  end;
-  let r = f () in
-  if profile then Fmt.epr "%a" Gg_profile.Profile.report ();
-  if metrics then Fmt.epr "%a" Gg_profile.Metrics.report ();
-  Option.iter Gg_profile.Metrics.write_json metrics_out;
-  Option.iter Gg_profile.Trace.write trace_out;
-  r
-
 let fuzz_cmd (seed_lo, seed_hi) regalloc targets stmts depth max_nest
     functions straight_line corpus_dir coverage verbose_cov quiet shrink_checks
     jobs profile trace_out metrics metrics_out =
   (* run the campaign under the telemetry wrapper but exit after it, so
-     a divergence still flushes the trace/metrics files *)
-  let n_div =
-    with_telemetry ~profile ~trace_out ~metrics ~metrics_out @@ fun () ->
+     a divergence or a failed table check still flushes the trace and
+     metrics files *)
+  let outcome =
+    Gg_profile.Telemetry.with_outputs ~profile ~metrics ?metrics_out ?trace_out
+    @@ fun () ->
   let cfg =
     {
       Campaign.seed_lo;
@@ -224,13 +206,10 @@ let fuzz_cmd (seed_lo, seed_hi) regalloc targets stmts depth max_nest
       log = (if quiet then None else Some Fmt.string);
     }
   in
-  let result =
-    (* the campaign's up-front table verification fails loudly *)
-    try Campaign.run cfg
-    with Failure m ->
-      Fmt.epr "error: %s@." m;
-      exit 1
-  in
+  (* the campaign's up-front table verification fails loudly *)
+  match Campaign.run cfg with
+  | exception Failure m -> Error m
+  | result ->
   let n_div = List.length result.Campaign.divergences in
   Fmt.pr "ggfuzz: %d programs, %d divergence%s, %.1fs@."
     result.Campaign.programs n_div
@@ -254,9 +233,13 @@ let fuzz_cmd (seed_lo, seed_hi) regalloc targets stmts depth max_nest
     let report = Coverage.report g ~fired:result.Campaign.fired in
     Fmt.pr "%a" (Coverage.pp_report ~baseline ~verbose:verbose_cov g) report
   end;
-  n_div
+  Ok n_div
   in
-  if n_div > 0 then exit 1
+  match outcome with
+  | Error m ->
+    Fmt.epr "error: %s@." m;
+    exit 1
+  | Ok n_div -> if n_div > 0 then exit 1
 
 let replay_cmd path regalloc targets =
   match Campaign.replay ~regalloc ~targets path with

@@ -229,14 +229,12 @@ let target_of_name name =
     exit 1
 
 (* which productions actually fire, and how hard: compile the fixed
-   mini-C corpus (plus optional generated programs) with production
-   coverage on and render the firing counts as a heat report.  This is
+   mini-C corpus (plus optional generated programs), count the
+   reductions per production and render them as a heat report.  This is
    the usage data Samuelsson-style table optimisation wants before
    reordering table rows. *)
 let heat o target_name top seeds json out verbose =
   let target = target_of_name target_name in
-  Gg_profile.Profile.coverage_enabled := true;
-  Gg_profile.Profile.reset_coverage ();
   let tables = Gg_targets.Targets.build_tables target o in
   let g = Gg_codegen.Driver.grammar tables in
   let programs =
@@ -248,11 +246,13 @@ let heat o target_name top seeds json out verbose =
               (Gg_frontc.Corpus.program ~seed ~functions:3
                  ~stmts_per_function:12) ))
   in
-  List.iter
-    (fun (_, prog) ->
-      ignore (Gg_codegen.Driver.compile_program ~tables prog))
-    programs;
-  let counts = Gg_profile.Profile.production_counts () in
+  let (), counts =
+    Gg_profile.Telemetry.counting_productions (fun () ->
+        List.iter
+          (fun (_, prog) ->
+            ignore (Gg_codegen.Driver.compile_program ~tables prog))
+          programs)
+  in
   (* canonical form: duplicates merged, count desc then id asc — two
      runs over the same corpus render byte-identical profiles, so the
      profile digest (the profiled-table cache key) is stable *)

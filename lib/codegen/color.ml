@@ -506,11 +506,11 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
     end
   done;
   let insns', prov' = Option.get !result in
-  if !Metrics.enabled then begin
+  if Telemetry.(at_least Counters) then begin
     if !st_spilled > 0 then
-      Metrics.incr ~by:!st_spilled "codegen.spills_total";
+      Telemetry.incr ~by:!st_spilled "codegen.spills_total";
     if !st_reloads > 0 then
-      Metrics.incr ~by:!st_reloads "codegen.reloads_total"
+      Telemetry.incr ~by:!st_reloads "codegen.reloads_total"
   end;
   ( insns',
     prov',

@@ -16,6 +16,7 @@ type options = {
   peephole : bool;
   regalloc : regalloc;
   heat : (int * int) list;
+  explain : bool;
 }
 
 let default_options =
@@ -26,6 +27,7 @@ let default_options =
     peephole = false;
     regalloc = Stack;
     heat = [];
+    explain = false;
   }
 
 (* virtual registers are numbered from here in color mode; well above
@@ -93,8 +95,7 @@ let compile_stmts (tables : tables) sem (body : Tree.stmt list) =
           | Desc.Node _ -> failwith "matcher returned a raw node");
           Regmgr.assert_clean (Semantics.regmgr sem)
         in
-        if !Trace.enabled then Trace.span ~cat:"tree" "match.tree" match_tree
-        else match_tree ();
+        Telemetry.span ~cat:"tree" "match.tree" match_tree;
         Semantics.end_tree sem
       | Tree.Slabel l -> Semantics.emit sem (Insn.Lab l)
       | Tree.Sjump l -> Semantics.emit sem (bk.Backend.jump l)
@@ -122,7 +123,7 @@ let reserved_registers ~alloc_regs (f : Tree.func) =
     [] f.Tree.body
 
 let compile_func ?(options = default_options) tables (f : Tree.func) =
-  Trace.span ~cat:"function" f.Tree.fname @@ fun () ->
+  Telemetry.span ~cat:"function" f.Tree.fname @@ fun () ->
   let backend = tables.t_backend in
   let alloc_regs = backend.Backend.alloc_regs in
   let reserved = reserved_registers ~alloc_regs f in
@@ -134,7 +135,7 @@ let compile_func ?(options = default_options) tables (f : Tree.func) =
     if leaf_need > 0 then max 2 ((pool / 2) - 1) else max 2 (pool - 1)
   in
   let tr =
-    Trace.phase "phase1.transform" (fun () ->
+    Telemetry.span "phase1.transform" (fun () ->
         Transform.run ~options:options.transform ~spill_limit ~leaf_need f)
   in
   let frame =
@@ -144,14 +145,13 @@ let compile_func ?(options = default_options) tables (f : Tree.func) =
     Semantics.create ~idioms:options.idioms ~reserved ~allocatable:alloc_regs
       ?move:backend.Backend.move
       ?vreg_base:(match options.regalloc with Color -> Some vreg_base | Stack -> None)
-      ?explain:
+      ~explain:
         (* heat weighting needs per-instruction provenance even when
            the user did not ask for --explain *)
-        (if options.regalloc = Color && options.heat <> [] then Some true
-         else None)
+        (options.explain || (options.regalloc = Color && options.heat <> []))
       frame
   in
-  Trace.phase "phase2.match" (fun () ->
+  Telemetry.span "phase2.match" (fun () ->
       compile_stmts tables sem tr.Transform.func.Tree.body);
   let insns = Semantics.output sem in
   let prov = Semantics.provenance sem in
@@ -166,13 +166,13 @@ let compile_func ?(options = default_options) tables (f : Tree.func) =
       in
       let bank = List.filter (fun r -> not (List.mem r reserved)) alloc_regs in
       let insns, prov, st =
-        Trace.phase "phase3.regalloc" (fun () ->
+        Telemetry.span "phase3.regalloc" (fun () ->
             Color.run ~backend ~bank ~frame ~vinfo ~heat:options.heat ~prov
               insns)
       in
       (* provenance forced on for heat weighting only is internal:
          don't surface it unless the user asked *)
-      let prov = if !Profile.provenance_enabled then prov else [] in
+      let prov = if options.explain then prov else [] in
       (insns, prov, Some st)
   in
   let insns, prov =
@@ -180,17 +180,17 @@ let compile_func ?(options = default_options) tables (f : Tree.func) =
     | Some pass when options.peephole ->
       (* the peephole pass deletes and rewrites instructions, so the
          provenance list is no longer parallel to the output: drop it *)
-      (Trace.phase "peephole" (fun () -> pass insns), [])
+      (Telemetry.span "peephole" (fun () -> pass insns), [])
     | _ -> (insns, prov)
   in
-  if !Metrics.enabled then begin
-    Metrics.observe Metrics.insns_per_func (List.length insns);
+  if Telemetry.(at_least Counters) then begin
+    Telemetry.observe Telemetry.insns_per_func (List.length insns);
     let spills =
       match ra_stats with
       | Some st -> st.Color.spilled_ranges
       | None -> Regmgr.spills (Semantics.regmgr sem)
     in
-    Metrics.observe Metrics.spills_per_func spills
+    Telemetry.observe Telemetry.spills_per_func spills
   end;
   {
     cf_name = f.Tree.fname;

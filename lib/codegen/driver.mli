@@ -28,6 +28,9 @@ type options = {
       (** production-id -> firing-count table (the counts of a
           [mdgtool heat --json] profile) weighting the colorer's spill costs;
           ignored under [Stack] *)
+  explain : bool;
+      (** collect per-instruction provenance ([cf_prov]) for the
+          [--explain] listing; default [false] *)
 }
 
 val default_options : options
@@ -82,10 +85,8 @@ type compiled_func = {
           ids reduced since the previous emission, and a marker
           ([""] normally, ["spill"]/["reload"] on register-allocator
           traffic, which carries the provenance of the value being
-          moved).  Empty unless
-          {!Gg_profile.Profile.provenance_enabled} was set when the
-          function was compiled, or when the peephole pass rewrote the
-          instruction list. *)
+          moved).  Empty unless [options.explain] was set, or when the
+          peephole pass rewrote the instruction list. *)
 }
 
 type output = {
@@ -96,8 +97,8 @@ type output = {
 
 (** Compile one function (already transformed trees are not required:
     the driver runs Phase 1 itself).  Phase 1 and the match phase are
-    timed under ["phase1.transform"] / ["phase2.match"] when
-    {!Gg_profile.Profile.enabled}. *)
+    timed under ["phase1.transform"] / ["phase2.match"] from telemetry
+    level [Timers] ({!Gg_profile.Telemetry.span}). *)
 val compile_func : ?options:options -> tables -> Tree.func -> compiled_func
 
 (** Compile a whole program.  [jobs] > 1 distributes the functions over

@@ -10,9 +10,7 @@ module Symtab = Gg_grammar.Symtab
 module Action = Gg_grammar.Action
 module Tables = Gg_tablegen.Tables
 module Matcher = Gg_matcher.Matcher
-module Profile = Gg_profile.Profile
-module Trace = Gg_profile.Trace
-module Metrics = Gg_profile.Metrics
+module Telemetry = Gg_profile.Telemetry
 module Mode = Gg_ir.Mode
 module Insn = Gg_ir.Insn
 module Insn_table = Gg_vax.Insn_table

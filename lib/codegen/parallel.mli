@@ -6,7 +6,7 @@
     functions of a program across cores.  The packed tables are
     immutable and shared read-only; all per-function state
     ({!Semantics}, {!Regmgr}, {!Frame}) lives inside the worker; and
-    {!Gg_profile.Profile} shards its counters per domain, so [--profile]
+    {!Gg_profile.Telemetry} shards its counters per domain, so [--profile]
     and fuzz coverage stay exact under parallelism.
 
     {!map} runs its batches on one process-wide {e persistent} pool:

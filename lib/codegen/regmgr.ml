@@ -105,7 +105,7 @@ let spill_one t =
   in
   let vslot = Frame.alloc_virtual t.frame owner.Desc.ty in
   t.spills <- t.spills + 1;
-  if !Metrics.enabled then Metrics.incr "codegen.spills_total";
+  if Telemetry.(at_least Counters) then Telemetry.incr "codegen.spills_total";
   t.spill_modes <- (vslot, prov) :: t.spill_modes;
   t.marked ~mark:"spill" ~prov (fun () ->
       List.iter t.emit (t.move owner.Desc.ty ~src:(Mode.Reg r) ~dst:vslot);
@@ -184,7 +184,7 @@ let as_register t (d : Desc.t) =
     (match reload with
     | Some (_, prov) ->
       t.reloads <- t.reloads + 1;
-      if !Metrics.enabled then Metrics.incr "codegen.reloads_total";
+      if Telemetry.(at_least Counters) then Telemetry.incr "codegen.reloads_total";
       t.marked ~mark:"reload" ~prov emit_moves
     | None -> emit_moves ());
     rd

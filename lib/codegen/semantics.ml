@@ -49,11 +49,8 @@ let emit t i =
     t.prov_rev <- entry :: t.prov_rev
   end
 
-let create ?(idioms = true) ?explain ?reserved ?allocatable ?move ?vreg_base
-    frame =
-  let explain =
-    match explain with Some e -> e | None -> !Profile.provenance_enabled
-  in
+let create ?(idioms = true) ?(explain = false) ?reserved ?allocatable ?move
+    ?vreg_base frame =
   let rec t =
     lazy
       {

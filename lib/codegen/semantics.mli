@@ -16,11 +16,10 @@ type t
     code results); [reserved] registers hold register variables and are
     withheld from the register manager; [allocatable] is the target's
     register bank and [move] its operand mover (both default to the
-    VAX, see {!Regmgr.create}).  [explain] overrides
-    [Profile.provenance_enabled] (the colorer's heat weighting needs
-    provenance without the user asking for --explain); [vreg_base]
-    puts the register manager in virtual mode for the coloring
-    allocator. *)
+    VAX, see {!Regmgr.create}).  [explain] (default [false]) turns on
+    instruction provenance, for [Driver.options.explain] or the
+    colorer's heat weighting; [vreg_base] puts the register manager in
+    virtual mode for the coloring allocator. *)
 val create :
   ?idioms:bool ->
   ?explain:bool ->
@@ -86,7 +85,7 @@ val binop_of_node : Tree.t -> Op.binop
 
 (** {2 Instruction provenance}
 
-    When [Profile.provenance_enabled] was true at [create] time, every
+    When [explain] was set at [create] time, every
     emitted instruction is paired with the source line current at the
     time of emission and the grammar production ids reduced since the
     previous emission.  Outside of explain mode these are no-ops and

@@ -2,30 +2,9 @@ open Import
 
 module Iset = Set.Make (Int)
 
-let counts_now () =
-  List.fold_left
-    (fun m (pid, n) -> (pid, n) :: m)
-    []
-    (Profile.production_counts ())
-
 let with_fired f =
-  let before = counts_now () in
-  let lookup m pid = try List.assoc pid m with Not_found -> 0 in
-  let saved = !Profile.coverage_enabled in
-  Profile.coverage_enabled := true;
-  let result =
-    Fun.protect ~finally:(fun () -> Profile.coverage_enabled := saved) f
-  in
-  let after = counts_now () in
-  let fired =
-    List.filter_map
-      (fun (pid, n) -> if n > lookup before pid then Some pid else None)
-      after
-    |> List.sort compare
-  in
-  (result, fired)
-
-let fired_ids () = List.map fst (Profile.production_counts ())
+  let result, counts = Telemetry.counting_productions f in
+  (result, List.map fst counts)
 
 type report = { total : int; fired : int list; never_fired : int list }
 

@@ -5,17 +5,13 @@ open Import
     Which productions of the machine grammar actually fire during
     matching — per run and cumulatively — after Samuelsson's
     example-based measurement of which table entries a corpus
-    exercises.  Counting happens in the matcher via
-    {!Gg_profile.Profile.record_production}; this module turns the raw
-    id counts into reports against a grammar. *)
+    exercises.  The matcher counts every reduction per production
+    ({!Gg_profile.Telemetry.count_production}, always on); this module
+    turns the id counts into reports against a grammar. *)
 
-(** [with_fired f] runs [f] with coverage recording enabled and returns
-    its result plus the ids of the productions that fired {e during}
-    [f] (cumulative counts are not reset). *)
+(** [with_fired f] runs [f] and returns its result plus the sorted ids
+    of the productions that fired {e during} [f]. *)
 val with_fired : (unit -> 'a) -> 'a * int list
-
-(** Ids of every production fired since the last coverage reset. *)
-val fired_ids : unit -> int list
 
 type report = {
   total : int;

@@ -1,7 +1,5 @@
 open Import
-module Profile = Gg_profile.Profile
-module Trace = Gg_profile.Trace
-module Metrics = Gg_profile.Metrics
+module Telemetry = Gg_profile.Telemetry
 
 type 'a callbacks = {
   on_shift : Termname.token -> 'a;
@@ -78,10 +76,10 @@ let scratch_key =
 let run_engine ?(trace = false) e cb tokens =
   let g = e.eng_grammar and tables = e.eng_tables in
   let eof = Symtab.n_terms g.Grammar.symtab in
-  let ctrs = Profile.counters () in
-  let reds0 = ctrs.Profile.reduces in
-  let metrics = !Metrics.enabled in
-  let t0 = if metrics then Trace.now_us () else 0. in
+  let ctrs = Telemetry.counters () in
+  let reds0 = ctrs.Telemetry.reduces in
+  let metrics = Telemetry.(at_least Counters) in
+  let t0 = if metrics then Telemetry.now_us () else 0. in
   (* the hot/cold probe split, published once per run: a registry
      update per probe would dominate the loop *)
   let hot_probes = ref 0 and cold_probes = ref 0 in
@@ -130,7 +128,7 @@ let run_engine ?(trace = false) e cb tokens =
       (Packed.expected tables s)
   in
   let reject i a =
-    ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
+    ctrs.Telemetry.rejects <- ctrs.Telemetry.rejects + 1;
     raise
       (Reject
          {
@@ -160,7 +158,7 @@ let run_engine ?(trace = false) e cb tokens =
         (* shift *)
         match rest with
         | tok :: rest' ->
-          ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
+          ctrs.Telemetry.shifts <- ctrs.Telemetry.shifts + 1;
           (* build the step only under the flag: [record (Sshift ...)]
              would allocate the block even with tracing off *)
           if trace then record (Sshift tok.Termname.term);
@@ -170,7 +168,7 @@ let run_engine ?(trace = false) e cb tokens =
         | [] -> assert false (* a shift on eof: not a valid table *))
       | 2 ->
         (* reduce by a single production *)
-        ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
+        ctrs.Telemetry.reduces <- ctrs.Telemetry.reduces + 1;
         let p = Grammar.production g (c lsr 2) in
         let len = Array.length p.Grammar.rhs in
         (* popped entries stay in place; [sp] is cut after the goto *)
@@ -190,8 +188,8 @@ let run_engine ?(trace = false) e cb tokens =
            table constructor validates this invariant; re-check it
            here because tables can also arrive from a file, and a
            violation would silently corrupt the stack. *)
-        ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
-        ctrs.Profile.semantic_choices <- ctrs.Profile.semantic_choices + 1;
+        ctrs.Telemetry.reduces <- ctrs.Telemetry.reduces + 1;
+        ctrs.Telemetry.semantic_choices <- ctrs.Telemetry.semantic_choices + 1;
         let candidates = Packed.tie_candidates tables ((c lsr 2) - 1) in
         let prods = Array.map (Grammar.production g) candidates in
         let len = Array.length prods.(0).rhs in
@@ -223,7 +221,7 @@ let run_engine ?(trace = false) e cb tokens =
              state = !state;
              expected = expected_names !state;
            });
-    Profile.record_production p.Grammar.id;
+    Telemetry.count_production ctrs p.Grammar.id;
     (* [0 <= base < !sp]: the callers assert [0 < len <= !sp] *)
     let base = !sp - Array.length p.Grammar.rhs in
     let exposed = Array.unsafe_get !st_states base in
@@ -253,7 +251,7 @@ let run_engine ?(trace = false) e cb tokens =
              });
       loop rest i a
   in
-  ctrs.Profile.matcher_runs <- ctrs.Profile.matcher_runs + 1;
+  ctrs.Telemetry.matcher_runs <- ctrs.Telemetry.matcher_runs + 1;
   let value =
     (* hand the (possibly grown) state array back to the scratch even
        when the run rejects *)
@@ -264,19 +262,19 @@ let run_engine ?(trace = false) e cb tokens =
           scratch.busy <- false
         end;
         if !hot_probes > 0 then
-          Metrics.incr ~by:!hot_probes "matcher.probe_hits_hot";
+          Telemetry.incr ~by:!hot_probes "matcher.probe_hits_hot";
         if !cold_probes > 0 then
-          Metrics.incr ~by:!cold_probes "matcher.probe_hits_cold")
+          Telemetry.incr ~by:!cold_probes "matcher.probe_hits_cold")
       (fun () -> next tokens 0)
   in
   (* end-of-run histogram observations, gated so the hot loop stays
      allocation-free with telemetry off; rejects raise past this point
      and are deliberately not observed *)
   if metrics then begin
-    Metrics.observe Metrics.tree_match_us
-      (int_of_float (Trace.now_us () -. t0));
-    Metrics.observe Metrics.tree_reductions (ctrs.Profile.reduces - reds0);
-    Metrics.observe Metrics.stack_high_water !hw
+    Telemetry.observe Telemetry.tree_match_us
+      (int_of_float (Telemetry.now_us () -. t0));
+    Telemetry.observe Telemetry.tree_reductions (ctrs.reduces - reds0);
+    Telemetry.observe Telemetry.stack_high_water !hw
   end;
   { value; trace = List.rev !steps }
 

@@ -57,8 +57,8 @@ val packed_engine : grammar:Grammar.t -> Packed.t -> engine
     The loop is allocation-free per action: the parse stack is a pair
     of preallocated arrays, the token stream is interned to terminal
     ids once before the loop, and the lookahead is carried across
-    consecutive reductions.  When {!Gg_profile.Metrics.enabled}, each
-    run adds its probes of hot and cold table rows to
+    consecutive reductions.  At telemetry level [Counters] and above,
+    each run adds its probes of hot and cold table rows to
     [matcher.probe_hits_hot] and [matcher.probe_hits_cold]. *)
 val run_engine :
   ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome

@@ -384,7 +384,7 @@ let compile_func ?(peephole = false) (f : Tree.func) =
   (* this backend cannot spill dynamically and doubles need register
      pairs, so its budget is tighter than the table-driven backend's *)
   let tr =
-    Gg_profile.Trace.phase "phase1.transform" (fun () ->
+    Gg_profile.Telemetry.span "phase1.transform" (fun () ->
         Transform.run ~options:transform_options
           ~spill_limit:(max 2 (pool_size - 3))
           f)
@@ -396,14 +396,14 @@ let compile_func ?(peephole = false) (f : Tree.func) =
     List.filter (fun r -> not (List.mem r reserved)) Regconv.allocatable
   in
   let st = { out_rev = []; free = pool; frame } in
-  Gg_profile.Trace.phase "pcc.select" (fun () ->
+  Gg_profile.Telemetry.span "pcc.select" (fun () ->
       List.iter (gen_stmt st) tr.Transform.func.Tree.body);
   if List.length st.free <> List.length pool then
     failwith "pcc: register leak";
   let insns = List.rev st.out_rev in
   let insns =
     if peephole then
-      Gg_profile.Trace.phase "peephole" (fun () ->
+      Gg_profile.Telemetry.span "peephole" (fun () ->
           fst (Gg_codegen.Peephole.optimize insns))
     else insns
   in

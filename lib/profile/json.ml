@@ -210,10 +210,34 @@ let parse_file path =
 
 (* -- printing ------------------------------------------------------------- *)
 
+(* the one JSON string escaper: the sidecars, the daemon's log lines and
+   the flight recorder all quote through it *)
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* integers print without a decimal point; anything else in the
+   shortest form that reads back to the same float, so timestamps and
+   seconds survive a round trip *)
 let print_number b v =
-  if Float.is_integer v && Float.abs v < 1e15 then
+  if Float.is_integer v && Float.abs v < 9e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" v)
-  else Buffer.add_string b (Printf.sprintf "%.6g" v)
+  else if Float.is_finite v then
+    let s = Printf.sprintf "%.15g" v in
+    Buffer.add_string b
+      (if float_of_string s = v then s else Printf.sprintf "%.17g" v)
+  else Buffer.add_string b "null"
 
 let rec print_value b = function
   | Null -> Buffer.add_string b "null"
@@ -221,7 +245,7 @@ let rec print_value b = function
   | Num v -> print_number b v
   | Str s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (Trace.json_escape s);
+    Buffer.add_string b (escape s);
     Buffer.add_char b '"'
   | Arr vs ->
     Buffer.add_char b '[';
@@ -237,7 +261,7 @@ let rec print_value b = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_char b '"';
-        Buffer.add_string b (Trace.json_escape k);
+        Buffer.add_string b (escape k);
         Buffer.add_string b "\":";
         print_value b v)
       ms;

@@ -24,8 +24,12 @@ val parse : string -> t
 val parse_file : string -> t
 
 (** Compact single-line rendering; integral floats print without a
-    decimal point so round-tripped counters stay readable. *)
+    decimal point so round-tripped counters stay readable, other
+    numbers in the shortest form that parses back to the same float. *)
 val to_string : t -> string
+
+(** Escape a string for the inside of a JSON string literal. *)
+val escape : string -> string
 
 (** {1 Accessors} — all total, [None] on shape mismatch. *)
 

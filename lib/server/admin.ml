@@ -111,12 +111,12 @@ let default_handler ~server ~drain cmd =
   | "stats" ->
     (* the same document the shutdown sidecar writes — one source of
        truth, so a live snapshot and the post-run file agree exactly *)
-    Metrics.to_json ()
+    Telemetry.metrics_doc ()
   | "health" ->
     Printf.sprintf "{\"status\":\"ok\",\"served\":%d,\"queue_depth\":%d}\n"
       (Server.served server)
       (Server.queue_depth server)
-  | "metrics" -> Metrics.to_prometheus ()
+  | "metrics" -> Telemetry.(prometheus (snapshot ()))
   | "flight" -> Flight.to_json (Server.recorder server)
   | "drain" ->
     drain ();
@@ -125,4 +125,4 @@ let default_handler ~server ~drain cmd =
     Printf.sprintf
       "{\"error\":\"unknown command %s\",\"commands\":[\"stats\",\"health\",\
        \"metrics\",\"flight\",\"drain\"]}\n"
-      (Gg_profile.Trace.json_escape other)
+      (Json.escape other)

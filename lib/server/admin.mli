@@ -9,7 +9,7 @@
     worker is busy.
 
     The {!default_handler} commands:
-    - [stats] — the live {!Gg_profile.Metrics.to_json} document, the
+    - [stats] — the live {!Gg_profile.Telemetry.metrics_doc}, the
       same bytes the shutdown sidecar writes;
     - [health] — [{"status":"ok","served":N,"queue_depth":N}];
     - [metrics] — Prometheus text exposition;

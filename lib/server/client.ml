@@ -1,4 +1,4 @@
-module Trace = Gg_profile.Trace
+module Telemetry = Gg_profile.Telemetry
 
 exception Server_error of string
 
@@ -26,7 +26,7 @@ let roundtrip ~socket req =
   Lazy.force ignore_sigpipe;
   let args = [ ("request_id", req.Protocol.request_id) ] in
   let fd =
-    Trace.span ~cat:"client" ~args "client.connect" @@ fun () ->
+    Telemetry.span ~cat:"client" ~args "client.connect" @@ fun () ->
     try connect ~socket
     with Unix.Unix_error (e, _, _) ->
       fail "cannot connect to compile server %s: %s" socket
@@ -38,12 +38,12 @@ let roundtrip ~socket req =
   (* a rejected connection may already hold the Retry_after response
      with the write side closed — EPIPE here is fine, the answer is
      still readable *)
-  (Trace.span ~cat:"client" ~args "client.write" @@ fun () ->
+  (Telemetry.span ~cat:"client" ~args "client.write" @@ fun () ->
    try Framing.write_frame fd (Protocol.encode_request req)
    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
   (* the await span covers the server's queue wait plus its compile;
      merged traces show the split against the server's request span *)
-  Trace.span ~cat:"client" ~args "client.await" @@ fun () ->
+  Telemetry.span ~cat:"client" ~args "client.await" @@ fun () ->
   match Framing.read_frame fd with
   | Some payload -> (
     try Protocol.decode_response payload

@@ -9,6 +9,5 @@ module Lexer = Gg_frontc.Lexer
 module Parser = Gg_frontc.Parser
 module Pcc = Gg_pcc.Pcc
 module Matcher = Gg_matcher.Matcher
-module Profile = Gg_profile.Profile
-module Trace = Gg_profile.Trace
-module Metrics = Gg_profile.Metrics
+module Telemetry = Gg_profile.Telemetry
+module Json = Gg_profile.Json

@@ -57,17 +57,17 @@ let compile_request tables (req : Protocol.request) : Protocol.response =
     if req.Protocol.fail_inject then
       failwith "fail_inject: injected failure inside codegen";
     let prog =
-      Trace.phase "frontend" (fun () -> Sema.compile req.Protocol.source)
+      Telemetry.span "frontend" (fun () -> Sema.compile req.Protocol.source)
     in
     match req.Protocol.backend with
     | Protocol.Gg ->
-      if req.Protocol.explain then Profile.provenance_enabled := true;
       let options =
         {
           Driver.default_options with
           Driver.idioms = req.Protocol.idioms;
           peephole = req.Protocol.peephole;
           regalloc = req.Protocol.regalloc;
+          explain = req.Protocol.explain;
         }
       in
       let out =
@@ -102,9 +102,9 @@ let reply fd resp =
 
 let respond t fd resp =
   (match resp with
-  | Protocol.Asm _ -> Metrics.incr "server.responses_ok"
-  | Protocol.Error _ -> Metrics.incr "server.responses_error"
-  | Protocol.Timeout -> Metrics.incr "server.timeouts_total"
+  | Protocol.Asm _ -> Telemetry.incr "server.responses_ok"
+  | Protocol.Error _ -> Telemetry.incr "server.responses_error"
+  | Protocol.Timeout -> Telemetry.incr "server.timeouts_total"
   | Protocol.Retry_after _ -> ());
   Atomic.incr t.n_served;
   reply fd resp
@@ -143,7 +143,7 @@ let crash_dump t =
 
 let serve_connection t ~worker fd t_accept =
   let queue_wait_us = int_of_float (ms_since t_accept *. 1e3) in
-  if !Metrics.enabled then Metrics.observe Metrics.queue_wait_us queue_wait_us;
+  Telemetry.observe Telemetry.queue_wait_us queue_wait_us;
   match Framing.read_frame fd with
   | None -> () (* connected and hung up without a request *)
   | exception Protocol.Protocol_error m ->
@@ -153,7 +153,7 @@ let serve_connection t ~worker fd t_accept =
       (Protocol.Error (Protocol.Bad_request, "timed out reading the request"))
   | exception Unix.Unix_error _ -> ()
   | Some payload -> (
-    Metrics.incr "server.requests_total";
+    Telemetry.incr "server.requests_total";
     match Protocol.decode_request payload with
     | exception Protocol.Protocol_error m ->
       Slog.warn t.cfg.logger ~event:"request.bad"
@@ -171,7 +171,7 @@ let serve_connection t ~worker fd t_accept =
           Slog.int "bytes" (String.length req.Protocol.source);
           Slog.int "queue_wait_us" queue_wait_us;
         ];
-      ( Trace.span ~cat:"server" ~args:[ ("request_id", id) ] "request"
+      ( Telemetry.span ~cat:"server" ~args:[ ("request_id", id) ] "request"
       @@ fun () ->
         if req.Protocol.sleep_ms > 0 then
           Unix.sleepf (float_of_int req.Protocol.sleep_ms /. 1e3);
@@ -193,8 +193,7 @@ let serve_connection t ~worker fd t_accept =
             if past_deadline () then Protocol.Timeout else r
         in
         let latency_us = int_of_float (ms_since t_accept *. 1e3) in
-        if !Metrics.enabled then
-          Metrics.observe Metrics.request_latency_us latency_us;
+        Telemetry.observe Telemetry.request_latency_us latency_us;
         respond t fd resp;
         let outcome = outcome_name resp in
         black_box t ~worker ~id ~bytes:(String.length req.Protocol.source)
@@ -228,7 +227,7 @@ let worker t idx =
     match Squeue.pop t.queue with
     | None -> ()
     | Some (fd, t_accept) ->
-      Metrics.incr ~by:(-1) "server.queue_depth";
+      Telemetry.incr ~by:(-1) "server.queue_depth";
       (try serve_connection t ~worker:idx fd t_accept
        with e ->
          Slog.warn t.cfg.logger ~event:"worker.error"
@@ -258,11 +257,11 @@ let accept_loop t =
         (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout_s
          with Unix.Unix_error _ -> ());
         if Squeue.try_push t.queue (fd, Unix.gettimeofday ()) then
-          Metrics.incr "server.queue_depth"
+          Telemetry.incr "server.queue_depth"
         else begin
           (* backpressure: answer now, from the accept thread, so the
              client learns immediately instead of queueing blind *)
-          Metrics.incr "server.rejected_total";
+          Telemetry.incr "server.rejected_total";
           reply fd (Protocol.Retry_after t.cfg.retry_after_ms);
           (try Unix.close fd with Unix.Unix_error _ -> ())
         end)

@@ -21,11 +21,10 @@ open Import
       queued is still served, the workers are joined, the socket file
       removed.
 
-    Telemetry rides the existing instruments: [server.requests_total],
-    [server.responses_*], [server.queue_depth] and friends in
-    {!Metrics} named counters, the {!Metrics.queue_wait_us} /
-    {!Metrics.request_latency_us} histograms, and one {!Trace} span per
-    request on the recording worker's own track.  The v4 request id is
+    Telemetry rides the one registry ({!Gg_profile.Telemetry}):
+    [server.requests_total], [server.responses_*], [server.queue_depth]
+    and friends as named counters, the [queue_wait_us] /
+    [request_latency_us] histograms, and one span per request on the recording worker's own track.  The v4 request id is
     threaded through everything a request touches — the span's [args],
     every {!Slog} record, the {!Flight} recorder entry — so one id
     greps across logs, traces and post-mortem dumps. *)

@@ -1,5 +1,5 @@
 open Import
-module Profile = Gg_profile.Profile
+module Telemetry = Gg_profile.Telemetry
 
 let default_dir () =
   match Sys.getenv_opt "GGCG_CACHE_DIR" with
@@ -34,7 +34,7 @@ let load ?dir ?target ?profile (g : Grammar.t) =
   if not (Sys.file_exists file) then None
   else
     match
-      Gg_profile.Trace.phase "tables.load" (fun () ->
+      Telemetry.span "tables.load" (fun () ->
           Packed.load ?profile g file)
     with
     | t -> Some t
@@ -59,7 +59,7 @@ let store ?dir ?(target = "vax") (g : Grammar.t) (t : Packed.t) =
       false)
 
 let build ?profile (g : Grammar.t) =
-  Gg_profile.Trace.phase "tables.build" (fun () ->
+  Telemetry.span "tables.build" (fun () ->
       let dense = Tables.build g in
       match profile with
       | None -> Packed.pack dense (* [dense] dies inside, as packing starts *)
@@ -170,13 +170,13 @@ let clear_stale ?dir ?live_profiles (live : (string * Grammar.t) list) =
   |> List.sort compare
 
 let load_or_build ?dir ?target ?profile (g : Grammar.t) =
-  let ctrs = Profile.counters () in
+  let ctrs = Telemetry.counters () in
   match load ?dir ?target ?profile g with
   | Some t ->
-    ctrs.Profile.cache_hits <- ctrs.Profile.cache_hits + 1;
+    ctrs.Telemetry.cache_hits <- ctrs.Telemetry.cache_hits + 1;
     t
   | None ->
-    ctrs.Profile.cache_misses <- ctrs.Profile.cache_misses + 1;
+    ctrs.Telemetry.cache_misses <- ctrs.Telemetry.cache_misses + 1;
     let t = build ?profile g in
     ignore (store ?dir ?target g t);
     t

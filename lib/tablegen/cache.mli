@@ -79,7 +79,7 @@ val clear_stale :
   (string * int) list
 
 (** The production path: cached tables if present, else build and
-    store.  Updates the {!Gg_profile.Profile.counters} hit/miss
+    store.  Updates the {!Gg_profile.Telemetry.counters} hit/miss
     counts. *)
 val load_or_build :
   ?dir:string -> ?target:string -> ?profile:Heat.t -> Grammar.t -> Packed.t

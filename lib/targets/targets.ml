@@ -35,19 +35,16 @@ let cached_tables ?dir ?profile target gopts =
    productions differently, so a profile is grammar-specific and must
    be collected per target. *)
 let heat_profile target =
-  let saved = !Gg_profile.Profile.coverage_enabled in
-  Gg_profile.Profile.coverage_enabled := true;
-  Gg_profile.Profile.reset_coverage ();
   let tables = default_tables target in
-  List.iter
-    (fun (_, src) ->
-      ignore
-        (Driver.compile_program ~tables (Gg_frontc.Sema.compile src)
-          : Driver.output))
-    Gg_frontc.Corpus.fixed_programs;
-  let counts = Gg_profile.Profile.production_counts () in
-  Gg_profile.Profile.reset_coverage ();
-  Gg_profile.Profile.coverage_enabled := saved;
+  let (), counts =
+    Gg_profile.Telemetry.counting_productions (fun () ->
+        List.iter
+          (fun (_, src) ->
+            ignore
+              (Driver.compile_program ~tables (Gg_frontc.Sema.compile src)
+                : Driver.output))
+          Gg_frontc.Corpus.fixed_programs)
+  in
   Gg_tablegen.Heat.of_counts counts
 
 let grammar target gopts =

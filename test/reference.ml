@@ -13,13 +13,13 @@ open Gg_matcher.Matcher
 module Grammar = Gg_grammar.Grammar
 module Symtab = Gg_grammar.Symtab
 module Tables = Gg_tablegen.Tables
-module Profile = Gg_profile.Profile
+module Telemetry = Gg_profile.Telemetry
 module Termname = Gg_ir.Termname
 
 let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
     ~(action : int -> int -> Tables.action) ~(goto : int -> int -> int)
     ~(expected : int -> int list) cb tokens =
-  let ctrs = Profile.counters () in
+  let ctrs = Telemetry.counters () in
   let tokens = Array.of_list tokens in
   let n = Array.length tokens in
   let stack = ref [] in
@@ -41,7 +41,7 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
       (expected s)
   in
   let reject i a =
-    ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
+    ctrs.Telemetry.rejects <- ctrs.Telemetry.rejects + 1;
     raise
       (Reject
          {
@@ -66,13 +66,13 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
     let a = term_id i in
     match action !state a with
     | Tables.Shift s' ->
-      ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
+      ctrs.Telemetry.shifts <- ctrs.Telemetry.shifts + 1;
       record (Sshift tokens.(i).Termname.term);
       stack := (!state, cb.on_shift tokens.(i)) :: !stack;
       state := s';
       loop (i + 1)
     | Tables.Reduce candidates ->
-      ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
+      ctrs.Telemetry.reduces <- ctrs.Telemetry.reduces + 1;
       let pop_args len =
         let rec go k acc st =
           if k = 0 then (acc, st)
@@ -87,7 +87,7 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
       let pid =
         if Array.length candidates = 1 then candidates.(0)
         else begin
-          ctrs.Profile.semantic_choices <- ctrs.Profile.semantic_choices + 1;
+          ctrs.Telemetry.semantic_choices <- ctrs.Telemetry.semantic_choices + 1;
           let prods = Array.map (Grammar.production g) candidates in
           let len = Array.length prods.(0).rhs in
           Array.iter
@@ -108,7 +108,7 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
           candidates.(idx)
         end
       in
-      Profile.record_production pid;
+      Telemetry.count_production ctrs pid;
       let p = Grammar.production g pid in
       let len = Array.length p.rhs in
       let args, popped, rest = pop_args len in
@@ -129,7 +129,7 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
       | _ -> assert false)
     | Tables.Error -> reject i a
   in
-  ctrs.Profile.matcher_runs <- ctrs.Profile.matcher_runs + 1;
+  ctrs.Telemetry.matcher_runs <- ctrs.Telemetry.matcher_runs + 1;
   let value = loop 0 in
   { value; trace = List.rev !steps }
 

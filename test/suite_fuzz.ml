@@ -176,11 +176,15 @@ let test_coverage_accounting () =
   let (), fired1 = Coverage.with_fired (fun () -> compile 1) in
   Alcotest.(check bool) "a compile fires productions" true
     (List.length fired1 > 10);
-  (* recording off: nothing accumulates *)
-  let counts_before = Gg_profile.Profile.production_counts () in
+  (* counting is always on, but with_fired reports only what fired
+     inside it: the same compile again fires the same productions, and
+     a compile outside it leaves nothing for the next one to report *)
+  let (), again = Coverage.with_fired (fun () -> compile 1) in
+  Alcotest.(check (list int)) "with_fired is per call, not cumulative"
+    fired1 again;
   compile 2;
-  Alcotest.(check bool) "disabled recording adds nothing" true
-    (Gg_profile.Profile.production_counts () = counts_before)
+  let (), none = Coverage.with_fired (fun () -> ()) in
+  Alcotest.(check (list int)) "nothing fires in an empty call" [] none
 
 let test_fuzz_beats_baseline_coverage () =
   (* the acceptance criterion: the control-flow fuzzer must fire

@@ -14,7 +14,7 @@ module Parallel = Gg_codegen.Parallel
 module Driver = Gg_codegen.Driver
 module Sema = Gg_frontc.Sema
 module Corpus = Gg_frontc.Corpus
-module Profile = Gg_profile.Profile
+module Telemetry = Gg_profile.Telemetry
 
 let tables = Driver.default_tables
 
@@ -247,22 +247,22 @@ let prop_parity_on_random_token_streams =
 
 (* -- profiling exactness under parallelism ----------------------------------- *)
 
-let snap (c : Profile.counters) =
-  (c.Profile.shifts, c.Profile.reduces, c.Profile.semantic_choices,
-   c.Profile.matcher_runs)
+let snap (c : Telemetry.counters) =
+  (c.Telemetry.shifts, c.Telemetry.reduces, c.Telemetry.semantic_choices,
+   c.Telemetry.matcher_runs)
 
 let test_counters_exact_under_parallelism () =
   let prog = Treegen.control_program ~seed:11 Treegen.default_config in
   let totals jobs =
-    Profile.reset ();
+    Telemetry.reset ();
     ignore (compile ~jobs prog);
-    snap (Profile.totals ())
+    snap (Telemetry.totals ())
   in
   let show (a, b, c, d) = Fmt.str "(%d,%d,%d,%d)" a b c d in
   let s1 = totals 1 in
   let s4 = totals 4 in
   let s8 = totals 8 in
-  Profile.reset ();
+  Telemetry.reset ();
   let (a, b, c, _) = s1 in
   Alcotest.(check bool) "counters were recorded" true (a > 0 && b > 0 && c >= 0);
   if s4 <> s1 || s8 <> s1 then
@@ -280,9 +280,9 @@ let test_parity_and_telemetry_through_pool () =
   in
   let prog = Treegen.control_program ~seed:23 Treegen.default_config in
   let run jobs =
-    Profile.reset ();
+    Telemetry.reset ();
     let asm = compile_over ~jobs prog in
-    (asm, snap (Profile.totals ()))
+    (asm, snap (Telemetry.totals ()))
   in
   let asm1, s1 = run 1 in
   let (a, b, _, _) = s1 in
@@ -294,18 +294,13 @@ let test_parity_and_telemetry_through_pool () =
       if s <> s1 then
         Alcotest.failf "-j%d merged counters differ from -j1" jobs)
     [ 2; 4; 8 ];
-  Profile.reset ();
+  Telemetry.reset ();
   Parallel.shutdown ()
 
 let test_coverage_exact_under_parallelism () =
   let prog = Treegen.control_program ~seed:17 Treegen.default_config in
   let counts jobs =
-    Profile.coverage_enabled := true;
-    Profile.reset_coverage ();
-    ignore (compile ~jobs prog);
-    let c = Profile.production_counts () in
-    Profile.coverage_enabled := false;
-    c
+    snd (Telemetry.counting_productions (fun () -> ignore (compile ~jobs prog)))
   in
   let c1 = counts 1 in
   Alcotest.(check bool) "coverage is non-empty" true (c1 <> []);

@@ -376,16 +376,17 @@ let test_byte_determinism_across_jobs () =
 let test_spill_metrics_exact_across_jobs () =
   let prog = Sema.compile pressure_src in
   let spills_at jobs =
-    Gg_profile.Metrics.enabled := true;
-    Gg_profile.Metrics.reset ();
-    ignore
-      (Driver.compile_program
-         ~options:{ Driver.default_options with Driver.regalloc = Driver.Color }
-         ~tables:(Targets.default_tables Backend.Vax)
-         ~jobs prog);
-    let counters = Gg_profile.Metrics.named_counters () in
-    Gg_profile.Metrics.reset ();
-    Gg_profile.Metrics.enabled := false;
+    let module Telemetry = Gg_profile.Telemetry in
+    let counters =
+      Telemetry.with_level Counters (fun () ->
+          Telemetry.reset ();
+          ignore
+            (Driver.compile_program
+               ~options:{ Driver.default_options with Driver.regalloc = Driver.Color }
+               ~tables:(Targets.default_tables Backend.Vax)
+               ~jobs prog);
+          (Telemetry.snapshot ()).named)
+    in
     Option.value (List.assoc_opt "codegen.spills_total" counters) ~default:0
   in
   let s1 = spills_at 1 in

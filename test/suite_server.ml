@@ -14,8 +14,7 @@ module Admin = Gg_server.Admin
 module Flight = Gg_server.Flight
 module Slog = Gg_server.Slog
 module Json = Gg_profile.Json
-module Trace = Gg_profile.Trace
-module Metrics = Gg_profile.Metrics
+module Telemetry = Gg_profile.Telemetry
 module Parallel = Gg_codegen.Parallel
 module Driver = Gg_codegen.Driver
 module Backend = Gg_codegen.Backend
@@ -700,8 +699,8 @@ let test_admin_endpoint () =
   Alcotest.(check int) "the counter moved by exactly one request"
     (before + 1) (requests_total ());
   (* live stats are the very document the shutdown sidecar writes *)
-  Alcotest.(check string) "admin stats = Metrics.to_json"
-    (Metrics.to_json ())
+  Alcotest.(check string) "admin stats = the metrics sidecar"
+    (Telemetry.metrics_doc ())
     (admin_query admin_sock "stats");
   let health = Json.parse (admin_query admin_sock "health") in
   Alcotest.(check (option string)) "health status" (Some "ok")
@@ -797,12 +796,8 @@ let test_crash_barrier_dumps_flight () =
 let test_request_id_threads_through_spans () =
   (* the one id must appear on the server's request span and on every
      client-side span — that is what trace-merge correlates on *)
-  Trace.enabled := true;
-  Trace.reset ();
-  Fun.protect ~finally:(fun () ->
-      Trace.enabled := false;
-      Trace.reset ())
-  @@ fun () ->
+  Telemetry.with_level Trace @@ fun () ->
+  Telemetry.reset ();
   let id = "trace-correlate-me" in
   (with_server
   @@ fun socket _t ->
@@ -812,11 +807,11 @@ let test_request_id_threads_through_spans () =
           (Protocol.request ~request_id:id "int main() { return 0; }"))));
   let tagged name =
     List.exists
-      (fun (e : Trace.event) ->
-        e.Trace.ev_name = name
-        && List.mem_assoc "request_id" e.Trace.ev_args
-        && List.assoc "request_id" e.Trace.ev_args = id)
-      (Trace.events ())
+      (fun (e : Telemetry.event) ->
+        e.ev_name = name
+        && List.mem_assoc "request_id" e.ev_args
+        && List.assoc "request_id" e.ev_args = id)
+      (Lazy.force (Telemetry.snapshot ()).events)
   in
   List.iter
     (fun name ->
@@ -824,7 +819,29 @@ let test_request_id_threads_through_spans () =
     [ "request"; "client.connect"; "client.write"; "client.await" ];
   (* and the exported document renders the args *)
   Alcotest.(check bool) "exported trace carries the id" true
-    (contains ~sub:id (Trace.export ()))
+    (contains ~sub:id
+       (Json.to_string (Telemetry.trace_json (Telemetry.snapshot ()))))
+
+let test_explain_is_per_request () =
+  (* --explain is a compile option: an explain request must not switch
+     provenance on for the requests and compiles that follow it *)
+  let tables = Lazy.force tables in
+  let src = "int g; int f(int x) { return x * 3; } int main() { g = f(14); return g; }" in
+  let asm req =
+    match Server.compile_request tables req with
+    | Protocol.Asm a -> a
+    | _ -> Alcotest.fail "compile_request did not answer Asm"
+  in
+  Alcotest.(check bool) "the explain request is annotated" true
+    (contains ~sub:"# L" (asm (Protocol.request ~explain:true src)));
+  Alcotest.(check bool) "a later plain request is not" false
+    (contains ~sub:"# L" (asm (Protocol.request src)));
+  let out = Driver.compile_program ~tables (Sema.compile src) in
+  List.iter
+    (fun (f : Driver.compiled_func) ->
+      Alcotest.(check int) (f.cf_name ^ ": no provenance after explain") 0
+        (List.length f.cf_prov))
+    out.Driver.funcs
 
 let test_e2e_old_version_bad_request () =
   (* a well-formed v3 frame against a v4 daemon: answered Bad_request,
@@ -1077,6 +1094,8 @@ let suite =
       test_admin_drain_invokes_callback;
     Alcotest.test_case "flight: crash barrier dumps the crashing id" `Quick
       test_crash_barrier_dumps_flight;
+    Alcotest.test_case "explain: provenance stays per request" `Quick
+      test_explain_is_per_request;
     Alcotest.test_case "trace: request id rides client and server spans"
       `Quick test_request_id_threads_through_spans;
     Alcotest.test_case "e2e: v3 frame answered Bad_request, v4 still served"

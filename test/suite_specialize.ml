@@ -18,8 +18,7 @@ module Backend = Gg_codegen.Backend
 module Targets = Gg_targets.Targets
 module Sema = Gg_frontc.Sema
 module Corpus = Gg_frontc.Corpus
-module Profile = Gg_profile.Profile
-module Metrics = Gg_profile.Metrics
+module Telemetry = Gg_profile.Telemetry
 
 let vax_grammar = lazy (Grammar_def.grammar Grammar_def.default)
 let dense = lazy (Tables.build (Lazy.force vax_grammar))
@@ -62,18 +61,15 @@ let corpus_tokens =
 (* the observed profile: what the corpus itself fires *)
 let observed_profile =
   lazy
-    (let saved = !Profile.coverage_enabled in
-     Profile.coverage_enabled := true;
-     Profile.reset_coverage ();
-     List.iter
-       (fun toks ->
-         ignore
-           (Reference.run (Lazy.force dense) null_cb toks
-             : unit Matcher.outcome))
-       (Lazy.force corpus_tokens);
-     let counts = Profile.production_counts () in
-     Profile.reset_coverage ();
-     Profile.coverage_enabled := saved;
+    (let (), counts =
+       Telemetry.counting_productions (fun () ->
+           List.iter
+             (fun toks ->
+               ignore
+                 (Reference.run (Lazy.force dense) null_cb toks
+                   : unit Matcher.outcome))
+             (Lazy.force corpus_tokens))
+     in
      Heat.of_counts counts)
 
 let specialized profile = Packed.pack ~profile (Lazy.force dense)
@@ -248,16 +244,16 @@ let test_stats_shape () =
     b.Packed.cold_entries
 
 let test_probe_counters () =
-  let was = !Metrics.enabled in
-  Metrics.enabled := true;
-  Metrics.reset ();
   let se = spec_engine (Lazy.force spec_hot) in
-  List.iter
-    (fun tokens ->
-      ignore (Matcher.run_engine se null_cb tokens : unit Matcher.outcome))
-    (Lazy.force corpus_tokens);
-  let counters = Metrics.named_counters () in
-  Metrics.enabled := was;
+  let counters =
+    Telemetry.with_level Counters (fun () ->
+        Telemetry.reset ();
+        List.iter
+          (fun tokens ->
+            ignore (Matcher.run_engine se null_cb tokens : unit Matcher.outcome))
+          (Lazy.force corpus_tokens);
+        (Telemetry.snapshot ()).named)
+  in
   let get n = try List.assoc n counters with Not_found -> 0 in
   let hot = get "matcher.probe_hits_hot" in
   let cold = get "matcher.probe_hits_cold" in

@@ -1,17 +1,17 @@
-(* The telemetry subsystem: trace spans (balance, JSON well-formedness,
-   agreement with the Profile timers), metric histograms (identities
-   against the Profile counters, exactness and reset under a Parallel
-   pool), instruction provenance (--explain), and the report guards. *)
+(* The telemetry registry: trace spans (balance, JSON well-formedness,
+   agreement with the phase timers), metric histograms (identities
+   against the matcher counters, exactness and reset under a Parallel
+   pool), the level gating each instrument, the sidecar writers, the
+   --profile text format, instruction provenance (--explain), and the
+   report guards. *)
 
 module Tree = Gg_ir.Tree
 module Insn = Gg_ir.Insn
 module Driver = Gg_codegen.Driver
-module Semantics = Gg_codegen.Semantics
 module Sema = Gg_frontc.Sema
 module Corpus = Gg_frontc.Corpus
-module Profile = Gg_profile.Profile
-module Trace = Gg_profile.Trace
-module Metrics = Gg_profile.Metrics
+module Telemetry = Gg_profile.Telemetry
+module Json = Gg_profile.Json
 
 let tables = Driver.default_tables
 
@@ -20,20 +20,35 @@ let tables = Driver.default_tables
 let corpus_programs =
   lazy (List.map (fun (_, src) -> Sema.compile src) Corpus.fixed_programs)
 
-let all_off () =
-  Profile.enabled := false;
-  Profile.provenance_enabled := false;
-  Trace.enabled := false;
-  Metrics.enabled := false;
-  Profile.reset ();
-  Trace.reset ();
-  Metrics.reset ()
+let compile ?(options = Driver.default_options) ?(jobs = 1) prog =
+  Driver.compile_program ~options ~tables:(Lazy.force tables) ~jobs prog
 
-let compile ?(jobs = 1) prog =
-  Driver.compile_program ~tables:(Lazy.force tables) ~jobs prog
+let compile_corpus ?options ?(jobs = 1) () =
+  List.map (fun p -> compile ?options ~jobs p) (Lazy.force corpus_programs)
 
-let compile_corpus ?(jobs = 1) () =
-  List.map (fun p -> compile ~jobs p) (Lazy.force corpus_programs)
+(* [at level f]: [f] on a cleared registry at [level] *)
+let at level f =
+  Telemetry.with_level level (fun () ->
+      Telemetry.reset ();
+      f ())
+
+(* the corpus compiled at [level], and the registry it left *)
+let corpus_at ?(jobs = 1) level =
+  at level (fun () ->
+      ignore (compile_corpus ~jobs ());
+      Telemetry.snapshot ())
+
+let histo (snap : Telemetry.snapshot) name =
+  match List.find_opt (fun v -> v.Telemetry.hv_name = name) snap.histograms with
+  | Some v -> v
+  | None -> Alcotest.failf "histogram %s missing from the snapshot" name
+
+let events (snap : Telemetry.snapshot) = Lazy.force snap.events
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
 
 (* -- a minimal JSON validator ------------------------------------------------ *)
 
@@ -171,338 +186,357 @@ let check_json name s =
   | () -> ()
   | exception Bad_json m -> Alcotest.failf "%s: invalid JSON: %s" name m
 
-(* -- satellite (a): report never divides by a zero timed total --------------- *)
+(* -- report guards ------------------------------------------------------------- *)
 
 let test_report_no_nan_on_empty () =
-  all_off ();
-  Profile.enabled := true;
   (* counters but no timers: the share column must print 0%, not nan *)
-  let c = Profile.counters () in
-  c.Profile.matcher_runs <- c.Profile.matcher_runs + 1;
-  let text = Fmt.str "%a" Profile.report () in
-  all_off ();
+  let text =
+    at Timers (fun () ->
+        let c = Telemetry.counters () in
+        c.matcher_runs <- c.matcher_runs + 1;
+        Fmt.str "%a" Telemetry.pp_profile (Telemetry.snapshot ()))
+  in
   Alcotest.(check bool) "report is non-empty" true (String.length text > 0);
   let lower = String.lowercase_ascii text in
-  let contains sub =
-    let ls = String.length sub and ln = String.length lower in
-    let rec go i = i + ls <= ln && (String.sub lower i ls = sub || go (i + 1)) in
-    go 0
+  Alcotest.(check bool) "no nan in report" false (contains ~sub:"nan" lower);
+  Alcotest.(check bool) "no inf in report" false (contains ~sub:"inf" lower)
+
+(* The phase table exactly as perfbench reads ggcc --profile: the rows
+   after the "phase timings:" header, " %s %f ms" each, up to "total". *)
+let test_profile_format_pinned () =
+  let text =
+    at Timers (fun () ->
+        ignore (compile_corpus ());
+        Fmt.str "%a" Telemetry.pp_profile (Telemetry.snapshot ()))
   in
-  Alcotest.(check bool) "no nan in report" false (contains "nan");
-  Alcotest.(check bool) "no inf in report" false (contains "inf")
+  let rec rows acc = function
+    | [] -> Alcotest.fail "no total row"
+    | l :: rest -> (
+      match Scanf.sscanf l " %s %f ms" (fun n ms -> (n, ms)) with
+      | "total", total -> (List.rev acc, total)
+      | row -> rows (row :: acc) rest
+      | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
+        Alcotest.failf "unparseable phase row %S" l)
+  in
+  let rec find = function
+    | [] -> Alcotest.fail "no phase timings header"
+    | "phase timings:" :: rest -> rows [] rest
+    | _ :: rest -> find rest
+  in
+  let phases, total = find (String.split_on_char '\n' text) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is a row") true (List.mem_assoc name phases))
+    [ "phase1.transform"; "phase2.match" ];
+  (* every row is rounded to 0.01 ms *)
+  let sum = List.fold_left (fun a (_, ms) -> a +. ms) 0. phases in
+  let slack = 0.005 *. float_of_int (List.length phases + 1) in
+  if Float.abs (sum -. total) > slack then
+    Alcotest.failf "rows sum to %.2f ms, total says %.2f ms" sum total
+
+(* -- the level ------------------------------------------------------------------ *)
+
+let test_levels_arm_their_instruments () =
+  let recorded level =
+    let snap = corpus_at level in
+    ( (histo snap "matcher.reductions_per_tree").hv_count > 0,
+      snap.phases <> [],
+      events snap <> [] )
+  in
+  let check level expected =
+    let h, p, e = recorded level in
+    let name =
+      match level with
+      | Telemetry.Off -> "off"
+      | Counters -> "counters"
+      | Timers -> "timers"
+      | Trace -> "trace"
+    in
+    Alcotest.(check (list bool)) (name ^ ": histograms, phase rows, events")
+      expected [ h; p; e ]
+  in
+  check Off [ false; false; false ];
+  check Counters [ true; false; false ];
+  check Timers [ true; true; false ];
+  check Trace [ true; true; true ];
+  (* the production counts are on at every level *)
+  let (), fired =
+    Telemetry.with_level Off (fun () ->
+        Telemetry.counting_productions (fun () -> ignore (compile_corpus ())))
+  in
+  Alcotest.(check bool) "productions counted at Off" true (fired <> []);
+  (* with_level puts the previous level back, also after a raise *)
+  Telemetry.with_level Timers (fun () ->
+      (try Telemetry.with_level Trace (fun () -> raise Exit) with Exit -> ());
+      Alcotest.(check bool) "level restored after a raise" true
+        (Telemetry.level () = Timers))
 
 (* -- trace spans ------------------------------------------------------------- *)
 
-let with_trace ?(jobs = 4) () =
-  all_off ();
-  Profile.enabled := true;
-  Trace.enabled := true;
-  ignore (compile_corpus ~jobs ())
-
 let test_trace_json_well_formed () =
-  with_trace ();
-  let doc = Trace.export () in
-  all_off ();
-  check_json "trace export" doc
+  check_json "trace export"
+    (Json.to_string (Telemetry.trace_json (corpus_at ~jobs:4 Trace)))
 
 let test_trace_spans_balanced () =
-  with_trace ();
-  let events = Trace.events () in
-  all_off ();
+  let events = events (corpus_at ~jobs:4 Trace) in
   Alcotest.(check bool) "events recorded" true (events <> []);
   (* per track, B/E edges nest like parentheses and end balanced *)
   let tracks = Hashtbl.create 8 in
   List.iter
-    (fun (e : Trace.event) ->
+    (fun (e : Telemetry.event) ->
       let stack =
-        match Hashtbl.find_opt tracks e.Trace.ev_track with
+        match Hashtbl.find_opt tracks e.ev_track with
         | Some s -> s
         | None ->
           let s = ref [] in
-          Hashtbl.add tracks e.Trace.ev_track s;
+          Hashtbl.add tracks e.ev_track s;
           s
       in
-      match e.Trace.ev_ph with
-      | Trace.B -> stack := e.Trace.ev_name :: !stack
-      | Trace.E -> (
+      match e.ev_ph with
+      | B -> stack := e.ev_name :: !stack
+      | E -> (
         match !stack with
-        | top :: rest when top = e.Trace.ev_name -> stack := rest
+        | top :: rest when top = e.ev_name -> stack := rest
         | top :: _ ->
-          Alcotest.failf "track %d: end of %S inside %S" e.Trace.ev_track
-            e.Trace.ev_name top
+          Alcotest.failf "track %d: end of %S inside %S" e.ev_track e.ev_name top
         | [] ->
-          Alcotest.failf "track %d: end of %S with no open span"
-            e.Trace.ev_track e.Trace.ev_name))
+          Alcotest.failf "track %d: end of %S with no open span" e.ev_track
+            e.ev_name))
     events;
   Hashtbl.iter
     (fun track stack ->
       if !stack <> [] then
-        Alcotest.failf "track %d: %d unclosed span(s)" track
-          (List.length !stack))
+        Alcotest.failf "track %d: %d unclosed span(s)" track (List.length !stack))
     tracks;
   (* timestamps are monotone within each track *)
   let last = Hashtbl.create 8 in
   List.iter
-    (fun (e : Trace.event) ->
-      (match Hashtbl.find_opt last e.Trace.ev_track with
-      | Some t when e.Trace.ev_ts < t -. 1e-6 ->
-        Alcotest.failf "track %d: time goes backwards" e.Trace.ev_track
+    (fun (e : Telemetry.event) ->
+      (match Hashtbl.find_opt last e.ev_track with
+      | Some t when e.ev_ts < t -. 1e-6 ->
+        Alcotest.failf "track %d: time goes backwards" e.ev_track
       | _ -> ());
-      Hashtbl.replace last e.Trace.ev_track e.Trace.ev_ts)
+      Hashtbl.replace last e.ev_track e.ev_ts)
     events
 
+(* total seconds covered by spans named [name], over every track *)
+let span_seconds events name =
+  let open_at = Hashtbl.create 8 in
+  List.fold_left
+    (fun total (e : Telemetry.event) ->
+      if e.ev_name <> name then total
+      else
+        match e.ev_ph with
+        | B ->
+          Hashtbl.replace open_at e.ev_track e.ev_ts;
+          total
+        | E -> (
+          match Hashtbl.find_opt open_at e.ev_track with
+          | Some t0 -> total +. ((e.ev_ts -. t0) /. 1e6)
+          | None -> total))
+    0. events
+
 let test_trace_agrees_with_profile () =
-  with_trace ();
+  let snap = corpus_at ~jobs:4 Trace in
   let agree name =
-    let timer = Profile.seconds name in
-    let spans = Trace.span_seconds name in
+    let timer =
+      List.fold_left (fun a (n, s, _) -> if n = name then s else a) 0. snap.phases
+    in
+    let spans = span_seconds (events snap) name in
     Alcotest.(check bool) (name ^ " was timed") true (timer > 0.);
-    (* Trace.phase nests the span directly inside the timer over the
-       same clock, so the two totals track within 5% (the span also
-       pays the trace-record edges; allow an absolute floor for
-       micro-second phases) *)
-    let diff = Float.abs (timer -. spans) in
-    if diff > 0.05 *. timer +. 50e-6 then
-      Alcotest.failf "%s: timer %.6fs vs spans %.6fs" name timer spans
+    (* a leaf span feeds the phase table and its two trace edges from
+       one pair of clock reads: only float summation order differs *)
+    if Float.abs (timer -. spans) > (1e-6 *. timer) +. 1e-9 then
+      Alcotest.failf "%s: timer %.9fs vs spans %.9fs" name timer spans
   in
   agree "phase2.match";
-  agree "phase1.transform";
-  all_off ()
+  agree "phase1.transform"
 
 (* -- metric histograms ------------------------------------------------------- *)
 
-let with_metrics ?(jobs = 1) () =
-  all_off ();
-  Metrics.enabled := true;
-  ignore (compile_corpus ~jobs ())
-
 let test_histograms_match_counters () =
-  with_metrics ();
-  let totals = Profile.totals () in
+  let snap = corpus_at Counters in
+  let totals = snap.totals in
   let funcs =
     List.fold_left
       (fun a p -> a + List.length p.Tree.funcs)
       0
       (Lazy.force corpus_programs)
   in
-  let reds_count = Metrics.count Metrics.tree_reductions in
-  let reds_sum = Metrics.sum Metrics.tree_reductions in
-  let match_count = Metrics.count Metrics.tree_match_us in
-  let hw_count = Metrics.count Metrics.stack_high_water in
-  let ipf_count = Metrics.count Metrics.insns_per_func in
-  all_off ();
+  let reds = histo snap "matcher.reductions_per_tree" in
   Alcotest.(check int)
-    "tree_reductions count = matcher runs" totals.Profile.matcher_runs
-    reds_count;
+    "tree_reductions count = matcher runs" totals.matcher_runs reds.hv_count;
+  Alcotest.(check int) "tree_reductions sum = total reduces" totals.reduces
+    reds.hv_sum;
   Alcotest.(check int)
-    "tree_reductions sum = total reduces" totals.Profile.reduces reds_sum;
+    "tree_match_us count = matcher runs" totals.matcher_runs
+    (histo snap "matcher.tree_match_us").hv_count;
   Alcotest.(check int)
-    "tree_match_us count = matcher runs" totals.Profile.matcher_runs
-    match_count;
-  Alcotest.(check int)
-    "stack_high_water count = matcher runs" totals.Profile.matcher_runs
-    hw_count;
-  Alcotest.(check int) "insns_per_func count = functions" funcs ipf_count
+    "stack_high_water count = matcher runs" totals.matcher_runs
+    (histo snap "matcher.stack_high_water").hv_count;
+  Alcotest.(check int) "insns_per_func count = functions" funcs
+    (histo snap "codegen.insns_per_func").hv_count;
+  Alcotest.(check int) "production counts sum to reduces" totals.reduces
+    (Array.fold_left ( + ) 0 totals.fired)
 
 let test_buckets_sum_to_count () =
-  with_metrics ();
-  let hs = Metrics.all () in
-  let rows =
-    List.map
-      (fun h ->
-        ( Metrics.name h,
-          Metrics.count h,
-          List.fold_left (fun a (_, c) -> a + c) 0 (Metrics.buckets h) ))
-      hs
-  in
-  all_off ();
-  Alcotest.(check bool) "histograms registered" true (List.length rows >= 4);
+  let snap = corpus_at Counters in
+  Alcotest.(check bool) "histograms registered" true
+    (List.length snap.histograms >= 4);
   List.iter
-    (fun (name, count, bucket_sum) ->
-      Alcotest.(check int) (name ^ ": buckets sum to count") count bucket_sum)
-    rows
+    (fun (v : Telemetry.histo_view) ->
+      Alcotest.(check int) (v.hv_name ^ ": buckets sum to count") v.hv_count
+        (List.fold_left (fun a (_, c) -> a + c) 0 v.hv_buckets))
+    snap.histograms
 
 let test_metrics_exact_under_parallelism () =
-  let snapshot jobs =
-    all_off ();
-    Metrics.enabled := true;
-    ignore (compile_corpus ~jobs ());
-    let r =
-      List.map
-        (fun h -> (Metrics.name h, Metrics.count h, Metrics.buckets h))
-        [ Metrics.tree_reductions; Metrics.stack_high_water;
-          Metrics.insns_per_func ]
-    in
-    all_off ();
-    r
+  let take jobs =
+    let snap = corpus_at ~jobs Counters in
+    List.map
+      (fun name ->
+        let v = histo snap name in
+        (name, v.hv_count, v.hv_buckets))
+      [ "matcher.reductions_per_tree"; "matcher.stack_high_water";
+        "codegen.insns_per_func" ]
   in
   (* tree_match_us is wall time, hence not deterministic across -j: the
      deterministic histograms must merge to identical shards *)
-  let s1 = snapshot 1 in
-  let s4 = snapshot 4 in
-  let s8 = snapshot 8 in
-  Alcotest.(check bool) "j4 histograms = j1" true (s4 = s1);
-  Alcotest.(check bool) "j8 histograms = j1" true (s8 = s1)
+  let s1 = take 1 in
+  Alcotest.(check bool) "j4 histograms = j1" true (take 4 = s1);
+  Alcotest.(check bool) "j8 histograms = j1" true (take 8 = s1)
 
 let test_metrics_reset () =
-  with_metrics ();
-  Metrics.reset ();
-  let counts = List.map Metrics.count (Metrics.all ()) in
-  let named = Metrics.named_counters () in
-  all_off ();
-  List.iter (fun c -> Alcotest.(check int) "count after reset" 0 c) counts;
-  Alcotest.(check bool)
-    "no live named counters after reset" true
-    (List.for_all (fun (_, v) -> v = 0) named)
+  (* every instrument of every shard: counters, production counts,
+     named counters, histograms, phase timers, trace events *)
+  let snap =
+    at Trace (fun () ->
+        ignore (compile_corpus ~jobs:4 ());
+        Telemetry.incr "reset.test";
+        Telemetry.reset ();
+        Telemetry.snapshot ())
+  in
+  Alcotest.(check int) "no matcher runs after reset" 0 snap.totals.matcher_runs;
+  Alcotest.(check int) "no production counts after reset" 0
+    (Array.fold_left ( + ) 0 snap.totals.fired);
+  List.iter
+    (fun (v : Telemetry.histo_view) ->
+      Alcotest.(check int) (v.hv_name ^ " count after reset") 0 v.hv_count)
+    snap.histograms;
+  Alcotest.(check bool) "no live named counters after reset" true
+    (List.for_all (fun (_, v) -> v = 0) snap.named);
+  Alcotest.(check int) "no phase rows after reset" 0 (List.length snap.phases);
+  Alcotest.(check int) "no events after reset" 0 (List.length (events snap))
 
 let test_metrics_json_well_formed () =
-  with_metrics ();
-  Profile.enabled := true;
-  let doc = Metrics.to_json () in
-  all_off ();
-  check_json "metrics sidecar" doc
+  check_json "metrics sidecar"
+    (at Timers (fun () ->
+         ignore (compile_corpus ());
+         Telemetry.metrics_doc ()))
 
 (* -- quantiles, snapshots, expositions (the ops plane's read API) ------------ *)
 
-module Json = Gg_profile.Json
-
 let test_quantile_properties () =
-  all_off ();
-  Metrics.enabled := true;
-  let h = Metrics.queue_wait_us in
-  Alcotest.(check (float 0.)) "empty histogram quantile is 0" 0.
-    (Metrics.quantile h 0.99);
-  for v = 1 to 1000 do
-    Metrics.observe h v
-  done;
-  let q50 = Metrics.quantile h 0.50
-  and q90 = Metrics.quantile h 0.90
-  and q99 = Metrics.quantile h 0.99
-  and q100 = Metrics.quantile h 1.0 in
-  all_off ();
-  Alcotest.(check bool) "quantiles are positive" true (q50 > 0.);
-  Alcotest.(check bool) "quantiles are monotone in q" true
-    (q50 <= q90 && q90 <= q99 && q99 <= q100);
-  Alcotest.(check bool) "no quantile exceeds the observed max" true
-    (q100 <= 1000.);
-  (* uniform 1..1000: linear interpolation inside fixed buckets keeps
-     the estimates within a coarse band of the true quantiles *)
-  Alcotest.(check bool)
-    (Fmt.str "p50 %.1f within [250, 750]" q50)
-    true
-    (q50 >= 250. && q50 <= 750.);
-  Alcotest.(check bool) (Fmt.str "p99 %.1f >= p50" q99) true (q99 >= q50)
+  let quantiles =
+    at Counters (fun () ->
+        let h = Telemetry.queue_wait_us in
+        Alcotest.(check (float 0.)) "empty histogram quantile is 0" 0.
+          (Telemetry.quantile (Telemetry.view h) 0.99);
+        for v = 1 to 1000 do
+          Telemetry.observe h v
+        done;
+        List.map (Telemetry.quantile (Telemetry.view h)) [ 0.50; 0.90; 0.99; 1.0 ])
+  in
+  match quantiles with
+  | [ q50; q90; q99; q100 ] ->
+    Alcotest.(check bool) "quantiles are positive" true (q50 > 0.);
+    Alcotest.(check bool) "quantiles are monotone in q" true
+      (q50 <= q90 && q90 <= q99 && q99 <= q100);
+    Alcotest.(check bool) "no quantile exceeds the observed max" true
+      (q100 <= 1000.);
+    (* uniform 1..1000: linear interpolation inside fixed buckets keeps
+       the estimates within a coarse band of the true quantiles *)
+    Alcotest.(check bool)
+      (Fmt.str "p50 %.1f within [250, 750]" q50)
+      true
+      (q50 >= 250. && q50 <= 750.)
+  | _ -> assert false
 
 let test_quantile_deterministic () =
   (* same observations -> byte-identical quantiles, whether read live
      or at shutdown: this is what lets the admin stats document match
      the sidecar exactly *)
-  all_off ();
-  Metrics.enabled := true;
-  List.iter (Metrics.observe Metrics.request_latency_us)
+  at Counters @@ fun () ->
+  List.iter
+    (Telemetry.observe Telemetry.request_latency_us)
     [ 3; 14; 159; 2653; 58979; 323846; 2643383 ];
-  let a = Metrics.quantile Metrics.request_latency_us 0.99 in
-  let b = Metrics.quantile Metrics.request_latency_us 0.99 in
-  all_off ();
-  Alcotest.(check (float 0.)) "two reads agree exactly" a b
+  let q () = Telemetry.quantile (Telemetry.view Telemetry.request_latency_us) 0.99 in
+  let a = q () in
+  Alcotest.(check (float 0.)) "two reads agree exactly" a (q ())
 
 let test_snapshot_exact_under_parallelism () =
   (* the deterministic instruments must snapshot identically at -j1 and
      -j4 once the domains have joined — same counts, same buckets, same
      quantiles *)
-  let deterministic =
-    [
-      "matcher.reductions_per_tree";
-      "matcher.stack_high_water";
-      "codegen.insns_per_func";
-    ]
-  in
   let take jobs =
-    all_off ();
-    Metrics.enabled := true;
-    Profile.enabled := true;
-    ignore (compile_corpus ~jobs ());
-    let snap = Metrics.snapshot () in
-    all_off ();
+    let snap = corpus_at ~jobs Timers in
     ( List.filter
         (fun (k, _) -> String.length k > 8 && String.sub k 0 8 = "matcher.")
-        snap.Metrics.v_counters,
-      List.filter
-        (fun hv -> List.mem hv.Metrics.hv_name deterministic)
-        snap.Metrics.v_histograms )
+        (Telemetry.counter_list snap),
+      List.map (histo snap)
+        [ "matcher.reductions_per_tree"; "matcher.stack_high_water";
+          "codegen.insns_per_func" ] )
   in
   let c1, h1 = take 1 in
   let c4, h4 = take 4 in
   Alcotest.(check bool) "matcher counters equal at -j4" true (c1 = c4);
-  Alcotest.(check int) "all deterministic histograms found" 3 (List.length h1);
   List.iter2
-    (fun a b ->
-      Alcotest.(check string) "name" a.Metrics.hv_name b.Metrics.hv_name;
-      Alcotest.(check int) (a.Metrics.hv_name ^ " count") a.Metrics.hv_count
-        b.Metrics.hv_count;
-      Alcotest.(check bool) (a.Metrics.hv_name ^ " buckets") true
-        (a.Metrics.hv_buckets = b.Metrics.hv_buckets);
-      Alcotest.(check (float 0.)) (a.Metrics.hv_name ^ " p50") a.Metrics.hv_p50
-        b.Metrics.hv_p50;
-      Alcotest.(check (float 0.)) (a.Metrics.hv_name ^ " p99") a.Metrics.hv_p99
-        b.Metrics.hv_p99)
+    (fun (a : Telemetry.histo_view) (b : Telemetry.histo_view) ->
+      Alcotest.(check int) (a.hv_name ^ " count") a.hv_count b.hv_count;
+      Alcotest.(check bool) (a.hv_name ^ " buckets") true
+        (a.hv_buckets = b.hv_buckets);
+      Alcotest.(check (float 0.)) (a.hv_name ^ " p50") a.hv_p50 b.hv_p50;
+      Alcotest.(check (float 0.)) (a.hv_name ^ " p99") a.hv_p99 b.hv_p99)
     h1 h4
 
 let test_snapshot_safe_under_concurrent_observers () =
   (* snapshots taken while 4 domains are still observing: never a
      crash, and successive snapshots are monotone (shard counters only
      grow) *)
-  all_off ();
-  Metrics.enabled := true;
+  at Counters @@ fun () ->
   let stop = Atomic.make false in
   let pool =
     Gg_codegen.Parallel.spawn_pool ~domains:4 (fun _ ->
         while not (Atomic.get stop) do
-          Metrics.observe Metrics.queue_wait_us 17;
-          Metrics.incr "concurrent.test"
+          Telemetry.observe Telemetry.queue_wait_us 17;
+          Telemetry.incr "concurrent.test"
         done)
-  in
-  let count hv_name snap =
-    match
-      List.find_opt
-        (fun hv -> hv.Metrics.hv_name = hv_name)
-        snap.Metrics.v_histograms
-    with
-    | Some hv -> hv.Metrics.hv_count
-    | None -> Alcotest.failf "histogram %s missing from snapshot" hv_name
   in
   let last = ref 0 in
   for _ = 1 to 50 do
-    let snap = Metrics.snapshot () in
-    let c = count "server.queue_wait_us" snap in
-    if c < !last then
-      Alcotest.failf "snapshot went backwards: %d after %d" c !last;
+    let c = (histo (Telemetry.snapshot ()) "server.queue_wait_us").hv_count in
+    if c < !last then Alcotest.failf "snapshot went backwards: %d after %d" c !last;
     last := c
   done;
   Atomic.set stop true;
   Gg_codegen.Parallel.join_pool pool;
   (* quiescent now: the final snapshot is exact and internally
      consistent — buckets sum to the count, the named counter matches *)
-  let snap = Metrics.snapshot () in
-  let hv =
-    List.find
-      (fun hv -> hv.Metrics.hv_name = "server.queue_wait_us")
-      snap.Metrics.v_histograms
-  in
-  all_off ();
-  Alcotest.(check int) "buckets sum to count" hv.Metrics.hv_count
-    (List.fold_left (fun a (_, c) -> a + c) 0 hv.Metrics.hv_buckets);
+  let snap = Telemetry.snapshot () in
+  let hv = histo snap "server.queue_wait_us" in
+  Alcotest.(check int) "buckets sum to count" hv.hv_count
+    (List.fold_left (fun a (_, c) -> a + c) 0 hv.hv_buckets);
   Alcotest.(check bool) "the named counter landed" true
-    (List.assoc_opt "concurrent.test" snap.Metrics.v_counters = Some hv.Metrics.hv_count)
+    (List.assoc_opt "concurrent.test" snap.named = Some hv.hv_count)
 
 let test_json_sidecar_has_quantiles () =
-  with_metrics ();
-  let doc = Metrics.to_json () in
-  all_off ();
-  let j = Json.parse doc in
+  let doc =
+    at Counters (fun () ->
+        ignore (compile_corpus ());
+        Telemetry.metrics_doc ())
+  in
   let histos =
     Option.value ~default:[]
-      (Option.bind (Json.member "histograms" j) Json.to_list)
+      (Option.bind (Json.member "histograms" (Json.parse doc)) Json.to_list)
   in
   Alcotest.(check bool) "histograms present" true (histos <> []);
   List.iter
@@ -519,9 +553,7 @@ let test_json_sidecar_has_quantiles () =
     histos
 
 let test_prometheus_exposition () =
-  with_metrics ();
-  let doc = Metrics.to_prometheus () in
-  all_off ();
+  let doc = Telemetry.prometheus (corpus_at Counters) in
   let lines = String.split_on_char '\n' doc in
   Alcotest.(check bool) "counters are typed" true
     (List.mem "# TYPE ggcg_matcher_runs counter" lines);
@@ -545,8 +577,7 @@ let test_prometheus_exposition () =
   (match value_of "ggcg_matcher_reductions_per_tree_bucket{le=\"+Inf\"} " with
   | [ inf ] -> (
     match value_of "ggcg_matcher_reductions_per_tree_count " with
-    | [ count ] ->
-      Alcotest.(check int) "+Inf bucket equals _count" count inf
+    | [ count ] -> Alcotest.(check int) "+Inf bucket equals _count" count inf
     | other -> Alcotest.failf "%d _count lines" (List.length other))
   | other -> Alcotest.failf "%d +Inf bucket lines" (List.length other));
   (* cumulative bucket counts never decrease *)
@@ -557,9 +588,7 @@ let test_prometheus_exposition () =
         if String.length l > String.length p && String.sub l 0 (String.length p) = p
         then
           match String.rindex_opt l ' ' with
-          | Some i ->
-            int_of_string_opt
-              (String.sub l (i + 1) (String.length l - i - 1))
+          | Some i -> int_of_string_opt (String.sub l (i + 1) (String.length l - i - 1))
           | None -> None
         else None)
       lines
@@ -570,30 +599,56 @@ let test_prometheus_exposition () =
   in
   Alcotest.(check bool) "cumulative buckets are monotone" true (monotone buckets)
 
+let temp_path suffix =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Fmt.str "ggcg-test-%d-%s" (Unix.getpid ()) suffix)
+
+(* files in [path]'s directory whose name extends [path]'s: a torn
+   write's [.tmp] sibling *)
+let leftovers path =
+  let dir = Filename.dirname path and base = Filename.basename path in
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f ->
+         String.length f > String.length base
+         && String.sub f 0 (String.length base) = base)
+
 let test_atomic_write_leaves_no_tmp () =
-  all_off ();
-  Metrics.enabled := true;
-  Profile.enabled := true;
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "ggcg-test-metrics-%d.json" (Unix.getpid ()))
-  in
-  Metrics.write_json_atomic path;
-  Fun.protect ~finally:(fun () ->
-      all_off ();
-      try Sys.remove path with Sys_error _ -> ())
+  let path = temp_path "metrics.json" in
+  at Timers (fun () -> Telemetry.write_metrics path);
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   check_json "atomic snapshot" (In_channel.with_open_text path In_channel.input_all);
   (* the temp sibling is renamed away, never left behind *)
-  let dir = Filename.dirname path and base = Filename.basename path in
-  let leftovers =
-    Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f ->
-           String.length f > String.length base
-           && String.sub f 0 (String.length base) = base)
+  Alcotest.(check (list string)) "no tmp leftovers" [] (leftovers path)
+
+let test_outputs_flushed_on_raise () =
+  (* a run that fails is the one whose telemetry is wanted: both
+     sidecars are complete documents, and no .tmp sibling remains *)
+  let metrics_out = temp_path "raise-metrics.json"
+  and trace_out = temp_path "raise-trace.json" in
+  let before = Telemetry.level () in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ metrics_out; trace_out ])
+  @@ fun () ->
+  (match
+     Telemetry.with_outputs ~metrics_out ~trace_out (fun () ->
+         ignore (compile_corpus ());
+         failwith "compile failed")
+   with
+  | () -> Alcotest.fail "the failure was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "level restored" true (Telemetry.level () = before);
+  let parse path = Json.parse_file path in
+  let runs =
+    Option.bind (Json.member "counters" (parse metrics_out)) (Json.member "matcher.runs")
   in
-  Alcotest.(check (list string)) "no tmp leftovers" [] leftovers
+  Alcotest.(check bool) "metrics sidecar counted the matcher runs" true
+    (Option.bind runs Json.to_int > Some 0);
+  let evs = Option.bind (Json.member "traceEvents" (parse trace_out)) Json.to_list in
+  Alcotest.(check bool) "trace sidecar holds events" true
+    (Option.fold ~none:false ~some:(fun l -> l <> []) evs);
+  Alcotest.(check (list string)) "no tmp leftovers" [] (leftovers metrics_out @ leftovers trace_out)
 
 (* -- the Json reader the ops tools are built on ------------------------------- *)
 
@@ -605,6 +660,7 @@ let test_json_parser_roundtrips () =
       "[1,2.5,-3,\"x\"]";
       "{\"a\":{\"b\":[]},\"c\":\"\\u0041\\n\"}";
       "{\"nested\":[{\"deep\":[[[1]]]}]}";
+      "[1760000000123456.8,0.000123456789,1234567.891]";
     ]
   in
   List.iter
@@ -629,11 +685,10 @@ let test_json_parser_rejects () =
 
 (* -- instruction provenance (--explain) -------------------------------------- *)
 
+let explain = { Driver.default_options with Driver.explain = true }
+
 let test_explain_provenance () =
-  all_off ();
-  Profile.provenance_enabled := true;
-  let outs = compile_corpus () in
-  Profile.provenance_enabled := false;
+  let outs = compile_corpus ~options:explain () in
   List.iter
     (fun (cf : Driver.compiled_func) ->
       Alcotest.(check int)
@@ -654,18 +709,10 @@ let test_explain_provenance () =
   let listing =
     String.concat "" (List.map (Driver.render_explained (Lazy.force tables)) outs)
   in
-  let contains sub =
-    let ls = String.length sub and ln = String.length listing in
-    let rec go i =
-      i + ls <= ln && (String.sub listing i ls = sub || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "listing has provenance comments" true
-    (contains "\t# L")
+    (contains ~sub:"\t# L" listing)
 
 let test_provenance_off_is_empty () =
-  all_off ();
   let outs = compile_corpus () in
   List.iter
     (fun (cf : Driver.compiled_func) ->
@@ -678,23 +725,21 @@ let test_provenance_off_is_empty () =
 (* -- assembly parity --------------------------------------------------------- *)
 
 let test_assembly_unchanged_by_telemetry () =
-  all_off ();
   let asm outs = String.concat "" (List.map (fun o -> o.Driver.assembly) outs) in
-  let plain = asm (compile_corpus ()) in
-  Profile.enabled := true;
-  Trace.enabled := true;
-  Metrics.enabled := true;
-  Profile.provenance_enabled := true;
-  let instrumented = asm (compile_corpus ~jobs:4 ()) in
-  all_off ();
-  Profile.provenance_enabled := false;
-  Alcotest.(check string)
-    "telemetry does not change the code" plain instrumented
+  let plain = at Off (fun () -> asm (compile_corpus ())) in
+  let instrumented =
+    at Trace (fun () -> asm (compile_corpus ~options:explain ~jobs:4 ()))
+  in
+  Alcotest.(check string) "telemetry does not change the code" plain instrumented
 
 let suite =
   [
     Alcotest.test_case "profile report: 0%%, not nan, on empty timers" `Quick
       test_report_no_nan_on_empty;
+    Alcotest.test_case "profile report: the phase table perfbench parses"
+      `Quick test_profile_format_pinned;
+    Alcotest.test_case "with_level arms exactly its own instruments" `Quick
+      test_levels_arm_their_instruments;
     Alcotest.test_case "trace export is well-formed JSON" `Quick
       test_trace_json_well_formed;
     Alcotest.test_case "trace spans balance and nest per track" `Quick
@@ -725,6 +770,8 @@ let suite =
       test_prometheus_exposition;
     Alcotest.test_case "write_json_atomic leaves no tmp file" `Quick
       test_atomic_write_leaves_no_tmp;
+    Alcotest.test_case "with_outputs writes both sidecars when f raises"
+      `Quick test_outputs_flushed_on_raise;
     Alcotest.test_case "Json parser round-trips" `Quick
       test_json_parser_roundtrips;
     Alcotest.test_case "Json parser rejects malformed input" `Quick
